@@ -39,7 +39,7 @@
 #include "db/database.h"
 #include "eventstore/event_store.h"
 #include "eventstore/eventstore_service.h"
-#include "serve/latency_histogram.h"
+#include "obs/latency_histogram.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
 #include "serve/workload_gen.h"
@@ -52,8 +52,8 @@
 namespace {
 
 using namespace dflow;
+using obs::LatencyHistogram;
 using serve::CacheConfig;
-using serve::LatencyHistogram;
 using serve::ServeConfig;
 using serve::ServeLoop;
 using serve::ShardedResponseCache;

@@ -103,30 +103,28 @@ Status Cluster::Init(const BackendFactory& backends) {
   write_quorum_ = ClampQuorum(config_.write_quorum, effective_replicas);
   read_quorum_ = ClampQuorum(config_.read_quorum, effective_replicas);
 
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry* m = config_.metrics;
-    reg_.requests = m->GetCounter("cluster.requests");
-    reg_.local = m->GetCounter("cluster.local");
-    reg_.forwarded = m->GetCounter("cluster.forwarded");
-    reg_.reroutes = m->GetCounter("cluster.reroutes");
-    reg_.forward_drops = m->GetCounter("cluster.forward_drops");
-    reg_.failed = m->GetCounter("cluster.failed");
-    reg_.writes = m->GetCounter("cluster.writes");
-    reg_.put_failures = m->GetCounter("cluster.put_failures");
-    reg_.get_failures = m->GetCounter("cluster.get_failures");
-    reg_.replica_writes = m->GetCounter("cluster.replica_writes");
-    reg_.read_repairs = m->GetCounter("cluster.read_repairs");
-    reg_.hints_stored = m->GetCounter("cluster.hints_stored");
-    reg_.hints_drained = m->GetCounter("cluster.hints_drained");
-    reg_.partition_transitions =
-        m->GetCounter("cluster.partition_transitions");
-    reg_.dual_writes = m->GetCounter("cluster.dual_writes");
-    reg_.rebalance_moves = m->GetCounter("cluster.rebalance_moves");
-    reg_.kills = m->GetCounter("cluster.kills");
-    reg_.rejoins = m->GetCounter("cluster.rejoins");
-    reg_.journal_replayed = m->GetCounter("cluster.journal_replayed");
-    reg_.catchup_shards = m->GetCounter("cluster.catchup_shards");
-  }
+  obs::MetricsRegistry& metrics =
+      obs::InjectedOrOwned(config_.metrics, &owned_metrics_);
+  requests_ = metrics.GetCounter("cluster.requests");
+  local_ = metrics.GetCounter("cluster.local");
+  forwarded_ = metrics.GetCounter("cluster.forwarded");
+  reroutes_ = metrics.GetCounter("cluster.reroutes");
+  forward_drops_ = metrics.GetCounter("cluster.forward_drops");
+  failed_ = metrics.GetCounter("cluster.failed");
+  writes_ = metrics.GetCounter("cluster.writes");
+  put_failures_ = metrics.GetCounter("cluster.put_failures");
+  get_failures_ = metrics.GetCounter("cluster.get_failures");
+  replica_writes_ = metrics.GetCounter("cluster.replica_writes");
+  read_repairs_ = metrics.GetCounter("cluster.read_repairs");
+  hints_stored_ = metrics.GetCounter("cluster.hints_stored");
+  hints_drained_ = metrics.GetCounter("cluster.hints_drained");
+  partition_transitions_ = metrics.GetCounter("cluster.partition_transitions");
+  dual_writes_ = metrics.GetCounter("cluster.dual_writes");
+  rebalance_moves_ = metrics.GetCounter("cluster.rebalance_moves");
+  kills_ = metrics.GetCounter("cluster.kills");
+  rejoins_ = metrics.GetCounter("cluster.rejoins");
+  journal_replayed_ = metrics.GetCounter("cluster.journal_replayed");
+  catchup_shards_ = metrics.GetCounter("cluster.catchup_shards");
 
   for (int i = 0; i < config_.num_nodes; ++i) {
     auto node = std::make_unique<Node>();
@@ -175,8 +173,9 @@ Status Cluster::Init(const BackendFactory& backends) {
     serve_config.num_workers = config_.workers_per_node;
     serve_config.max_queue_depth = config_.queue_depth;
     serve_config.default_deadline_sec = config_.default_deadline_sec;
-    serve_config.metrics = nullptr;  // Cluster-level counters only; per-node
-                                     // loops would collide on names.
+    // No registry: each node's loop counts into its own private one
+    // (NodeServeStats); a shared registry would merge the nodes' counts.
+    serve_config.metrics = nullptr;
     if (config_.breaker_failover && config_.num_nodes > 1) {
       serve_config.breaker.enabled = true;
       serve_config.breaker.seed = config_.seed + node->index;
@@ -226,12 +225,6 @@ Result<Cluster::Node*> Cluster::FindNode(const std::string& node_id) const {
   return it->second;
 }
 
-void Cluster::Count(obs::Counter* counter, int64_t delta) const {
-  if (counter != nullptr) {
-    counter->Add(delta);
-  }
-}
-
 Result<RouteDecision> Cluster::Route(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   return router_.Decide(key);
@@ -252,20 +245,17 @@ bool Cluster::ForwardDropped(const std::string& key, const std::string& from,
 
 Result<core::ServiceResponse> Cluster::Execute(
     const core::ServiceRequest& request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.requests);
+  requests_->Add(1);
 
   std::string key = KeyOf(request);
   Result<RouteDecision> routed = Route(key);
   if (!routed.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    Count(reg_.failed);
+    failed_->Add(1);
     return routed.status();
   }
   RouteDecision decision = *std::move(routed);
   if (decision.reroutes > 0) {
-    reroutes_.fetch_add(decision.reroutes, std::memory_order_relaxed);
-    Count(reg_.reroutes, decision.reroutes);
+    reroutes_->Add(decision.reroutes);
   }
 
   // Walk the chain from the chosen target onward; simulated forward drops
@@ -280,8 +270,7 @@ Result<core::ServiceResponse> Cluster::Execute(
   for (auto it = start; it != decision.chain.end(); ++it, ++attempt) {
     Result<Node*> found = FindNode(*it);
     if (!found.ok() || !(*found)->alive.load(std::memory_order_acquire)) {
-      reroutes_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.reroutes);
+      reroutes_->Add(1);
       continue;
     }
     bool pair_reachable;
@@ -290,15 +279,13 @@ Result<core::ServiceResponse> Cluster::Execute(
       pair_reachable = BiReachableLocked(decision.ingress, *it);
     }
     if (!pair_reachable) {
-      reroutes_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.reroutes);
+      reroutes_->Add(1);
       continue;
     }
     Node* node = *found;
     bool hop = node->name != decision.ingress;
     if (hop && ForwardDropped(key, decision.ingress, node->name, attempt)) {
-      forward_drops_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.forward_drops);
+      forward_drops_->Add(1);
       last_error = Status::IOError("forward to " + node->name + " dropped");
       continue;
     }
@@ -308,11 +295,9 @@ Result<core::ServiceResponse> Cluster::Execute(
           std::chrono::duration<double>(config_.forward_latency_sec));
     }
     if (hop) {
-      forwarded_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.forwarded);
+      forwarded_->Add(1);
     } else {
-      local_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.local);
+      local_->Add(1);
     }
     node->served.fetch_add(1, std::memory_order_relaxed);
     if (config_.tracer != nullptr && config_.tracer->enabled()) {
@@ -336,8 +321,7 @@ Result<core::ServiceResponse> Cluster::Execute(
     // node-level breaker already tried ITS replica registry underneath).
     last_error = response.status();
   }
-  failed_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.failed);
+  failed_->Add(1);
   return last_error;
 }
 
@@ -350,8 +334,7 @@ bool Cluster::ApplyWrite(Node* node, int shard, const std::string& key,
   }
   data.entries[key] = VersionedValue{value, version};
   ++data.applied;
-  replica_writes_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.replica_writes);
+  replica_writes_->Add(1);
   if (node->journal != nullptr) {
     recover::StageEventRecord record;
     record.kind = recover::StageEventRecord::Kind::kCompleted;
@@ -412,8 +395,7 @@ void Cluster::DrainHintsLocked() {
       // Delivered (apply-if-newer keeps this idempotent against
       // read-repair and rejoin catch-up racing the same write home).
       ApplyWrite(target, hint.shard, hint.key, hint.value, hint.version);
-      hints_drained_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.hints_drained);
+      hints_drained_->Add(1);
     }
     holder->hints = std::move(kept);
   }
@@ -429,8 +411,7 @@ void Cluster::RefreshReachabilityLocked(const std::string& cause) {
   }
   reachability_ = std::move(matrix);
   ++epoch_;
-  partition_transitions_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.partition_transitions);
+  partition_transitions_->Add(1);
   HistoryEvent event;
   event.kind = HistoryEvent::Kind::kReach;
   event.detail = cause + " epoch=" + std::to_string(epoch_) + " rm=" +
@@ -458,8 +439,7 @@ Result<std::vector<Cluster::Node*>> Cluster::WriteSetLocked(int shard) {
     if (target->alive.load(std::memory_order_acquire) &&
         std::find(targets.begin(), targets.end(), target) == targets.end()) {
       targets.push_back(target);
-      dual_writes_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.dual_writes);
+      dual_writes_->Add(1);
     }
   }
   return targets;
@@ -471,8 +451,7 @@ Status Cluster::Put(const std::string& key, const std::string& value) {
   DFLOW_ASSIGN_OR_RETURN(std::vector<Node*> targets, WriteSetLocked(shard));
 
   auto reject = [&](Status status, const std::string& why) {
-    put_failures_.fetch_add(1, std::memory_order_relaxed);
-    Count(reg_.put_failures);
+    put_failures_->Add(1);
     HistoryEvent event;
     event.kind = HistoryEvent::Kind::kPutFail;
     event.key = key;
@@ -522,12 +501,10 @@ Status Cluster::Put(const std::string& key, const std::string& value) {
     // unreachable one, to be drained when the pair heals.
     acked.front()->hints.push_back(Hint{node->name, shard, key, value,
                                         version});
-    hints_stored_.fetch_add(1, std::memory_order_relaxed);
-    Count(reg_.hints_stored);
+    hints_stored_->Add(1);
   }
 
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.writes);
+  writes_->Add(1);
   HistoryEvent event;
   event.kind = HistoryEvent::Kind::kPutOk;
   event.key = key;
@@ -547,8 +524,7 @@ Result<std::string> Cluster::Get(const std::string& key) {
       map_.ReplicasOfShard(shard, config_.replication_factor));
 
   auto reject = [&](const std::string& message, const std::string& why) {
-    get_failures_.fetch_add(1, std::memory_order_relaxed);
-    Count(reg_.get_failures);
+    get_failures_->Add(1);
     HistoryEvent event;
     event.kind = HistoryEvent::Kind::kGetFail;
     event.key = key;
@@ -621,8 +597,7 @@ Result<std::string> Cluster::Get(const std::string& key) {
   Version version = best->version;
   for (Node* node : consulted) {
     if (ApplyWrite(node, shard, key, value, version)) {
-      read_repairs_.fetch_add(1, std::memory_order_relaxed);
-      Count(reg_.read_repairs);
+      read_repairs_->Add(1);
     }
   }
   event.kind = HistoryEvent::Kind::kGetOk;
@@ -648,8 +623,7 @@ Status Cluster::KillNode(const std::string& node_id) {
   node->journal.reset();
   ++epoch_;  // Membership change: later writes order after everything
              // the dead node acked.
-  kills_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.kills);
+  kills_->Add(1);
   HistoryEvent event;
   event.kind = HistoryEvent::Kind::kKill;
   event.node = node->name;
@@ -702,8 +676,7 @@ Status Cluster::RejoinNode(const std::string& node_id) {
           data.entries[product.name] = VersionedValue{value, version};
         }
         ++data.applied;
-        journal_replayed_.fetch_add(1, std::memory_order_relaxed);
-        Count(reg_.journal_replayed);
+        journal_replayed_->Add(1);
       }
     } else if (!replay.status().IsNotFound()) {
       return replay.status();
@@ -760,8 +733,7 @@ Status Cluster::RejoinNode(const std::string& node_id) {
     if (mine_digest == truth_digest) {
       continue;
     }
-    catchup_shards_.fetch_add(1, std::memory_order_relaxed);
-    Count(reg_.catchup_shards);
+    catchup_shards_->Add(1);
     if (truth == nullptr) {
       node->shards.erase(shard);
       continue;
@@ -771,8 +743,7 @@ Status Cluster::RejoinNode(const std::string& node_id) {
     }
   }
   ++epoch_;  // Membership change, mirroring KillNode.
-  rejoins_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.rejoins);
+  rejoins_->Add(1);
   HistoryEvent event;
   event.kind = HistoryEvent::Kind::kRejoin;
   event.node = node->name;
@@ -1017,8 +988,7 @@ Status Cluster::CompleteShardMove(int shard) {
       node->shards.erase(shard);
     }
   }
-  rebalance_moves_.fetch_add(1, std::memory_order_relaxed);
-  Count(reg_.rebalance_moves);
+  rebalance_moves_->Add(1);
   if (config_.tracer != nullptr && config_.tracer->enabled()) {
     config_.tracer->InstantEvent(
         "shard_move", "cluster",
@@ -1043,27 +1013,26 @@ std::vector<std::string> Cluster::node_names() const {
 
 ClusterStats Cluster::Stats() const {
   ClusterStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.local = local_.load(std::memory_order_relaxed);
-  stats.forwarded = forwarded_.load(std::memory_order_relaxed);
-  stats.reroutes = reroutes_.load(std::memory_order_relaxed);
-  stats.forward_drops = forward_drops_.load(std::memory_order_relaxed);
-  stats.failed = failed_.load(std::memory_order_relaxed);
-  stats.writes = writes_.load(std::memory_order_relaxed);
-  stats.put_failures = put_failures_.load(std::memory_order_relaxed);
-  stats.get_failures = get_failures_.load(std::memory_order_relaxed);
-  stats.replica_writes = replica_writes_.load(std::memory_order_relaxed);
-  stats.read_repairs = read_repairs_.load(std::memory_order_relaxed);
-  stats.hints_stored = hints_stored_.load(std::memory_order_relaxed);
-  stats.hints_drained = hints_drained_.load(std::memory_order_relaxed);
-  stats.partition_transitions =
-      partition_transitions_.load(std::memory_order_relaxed);
-  stats.dual_writes = dual_writes_.load(std::memory_order_relaxed);
-  stats.rebalance_moves = rebalance_moves_.load(std::memory_order_relaxed);
-  stats.kills = kills_.load(std::memory_order_relaxed);
-  stats.rejoins = rejoins_.load(std::memory_order_relaxed);
-  stats.journal_replayed = journal_replayed_.load(std::memory_order_relaxed);
-  stats.catchup_shards = catchup_shards_.load(std::memory_order_relaxed);
+  stats.requests = requests_->Value();
+  stats.local = local_->Value();
+  stats.forwarded = forwarded_->Value();
+  stats.reroutes = reroutes_->Value();
+  stats.forward_drops = forward_drops_->Value();
+  stats.failed = failed_->Value();
+  stats.writes = writes_->Value();
+  stats.put_failures = put_failures_->Value();
+  stats.get_failures = get_failures_->Value();
+  stats.replica_writes = replica_writes_->Value();
+  stats.read_repairs = read_repairs_->Value();
+  stats.hints_stored = hints_stored_->Value();
+  stats.hints_drained = hints_drained_->Value();
+  stats.partition_transitions = partition_transitions_->Value();
+  stats.dual_writes = dual_writes_->Value();
+  stats.rebalance_moves = rebalance_moves_->Value();
+  stats.kills = kills_->Value();
+  stats.rejoins = rejoins_->Value();
+  stats.journal_replayed = journal_replayed_->Value();
+  stats.catchup_shards = catchup_shards_->Value();
   return stats;
 }
 

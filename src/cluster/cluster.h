@@ -87,8 +87,9 @@ struct ClusterConfig {
   HistoryRecorder* history = nullptr;
 
   /// Optional observability (borrowed; must outlive the cluster). Counters
-  /// land under "cluster.*"; spans/instants are recorded on one trace
-  /// track per node (named "cluster/<node>").
+  /// live under "cluster.*" in `metrics` (null: a private registry) and
+  /// Stats() reads them; spans/instants are recorded on one trace track
+  /// per node (named "cluster/<node>").
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -379,7 +380,6 @@ class Cluster {
   /// True when the deterministic per-(key, hop, attempt) loss draw fires.
   bool ForwardDropped(const std::string& key, const std::string& from,
                       const std::string& to, int attempt) const;
-  void Count(obs::Counter* counter, int64_t delta = 1) const;
 
   ClusterConfig config_;
   ShardMap map_;
@@ -405,50 +405,29 @@ class Cluster {
 
   mutable std::mutex mu_;  // Guards map_, moving_, and all shard state.
 
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> local_{0};
-  std::atomic<int64_t> forwarded_{0};
-  std::atomic<int64_t> reroutes_{0};
-  std::atomic<int64_t> forward_drops_{0};
-  std::atomic<int64_t> failed_{0};
-  std::atomic<int64_t> writes_{0};
-  std::atomic<int64_t> put_failures_{0};
-  std::atomic<int64_t> get_failures_{0};
-  std::atomic<int64_t> replica_writes_{0};
-  std::atomic<int64_t> read_repairs_{0};
-  std::atomic<int64_t> hints_stored_{0};
-  std::atomic<int64_t> hints_drained_{0};
-  std::atomic<int64_t> partition_transitions_{0};
-  std::atomic<int64_t> dual_writes_{0};
-  std::atomic<int64_t> rebalance_moves_{0};
-  std::atomic<int64_t> kills_{0};
-  std::atomic<int64_t> rejoins_{0};
-  std::atomic<int64_t> journal_replayed_{0};
-  std::atomic<int64_t> catchup_shards_{0};
-
-  struct Counters {
-    obs::Counter* requests = nullptr;
-    obs::Counter* local = nullptr;
-    obs::Counter* forwarded = nullptr;
-    obs::Counter* reroutes = nullptr;
-    obs::Counter* forward_drops = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* writes = nullptr;
-    obs::Counter* put_failures = nullptr;
-    obs::Counter* get_failures = nullptr;
-    obs::Counter* replica_writes = nullptr;
-    obs::Counter* read_repairs = nullptr;
-    obs::Counter* hints_stored = nullptr;
-    obs::Counter* hints_drained = nullptr;
-    obs::Counter* partition_transitions = nullptr;
-    obs::Counter* dual_writes = nullptr;
-    obs::Counter* rebalance_moves = nullptr;
-    obs::Counter* kills = nullptr;
-    obs::Counter* rejoins = nullptr;
-    obs::Counter* journal_replayed = nullptr;
-    obs::Counter* catchup_shards = nullptr;
-  };
-  Counters reg_;
+  // The cluster's one counter store (config_.metrics, or owned_metrics_)
+  // and handles into it, resolved once in Init(); Stats() reads them.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* local_ = nullptr;
+  obs::Counter* forwarded_ = nullptr;
+  obs::Counter* reroutes_ = nullptr;
+  obs::Counter* forward_drops_ = nullptr;
+  obs::Counter* failed_ = nullptr;
+  obs::Counter* writes_ = nullptr;
+  obs::Counter* put_failures_ = nullptr;
+  obs::Counter* get_failures_ = nullptr;
+  obs::Counter* replica_writes_ = nullptr;
+  obs::Counter* read_repairs_ = nullptr;
+  obs::Counter* hints_stored_ = nullptr;
+  obs::Counter* hints_drained_ = nullptr;
+  obs::Counter* partition_transitions_ = nullptr;
+  obs::Counter* dual_writes_ = nullptr;
+  obs::Counter* rebalance_moves_ = nullptr;
+  obs::Counter* kills_ = nullptr;
+  obs::Counter* rejoins_ = nullptr;
+  obs::Counter* journal_replayed_ = nullptr;
+  obs::Counter* catchup_shards_ = nullptr;
 };
 
 }  // namespace dflow::cluster

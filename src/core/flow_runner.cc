@@ -45,13 +45,7 @@ void FlowRunner::StageState::RefreshSnapshot() const {
 }
 
 obs::MetricsRegistry& FlowRunner::Registry() {
-  if (metrics_ != nullptr) {
-    return *metrics_;
-  }
-  if (owned_metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-  }
-  return *owned_metrics_;
+  return obs::InjectedOrOwned(metrics_, &owned_metrics_);
 }
 
 obs::MetricsRegistry* FlowRunner::metrics_registry() { return &Registry(); }

@@ -6,18 +6,11 @@
 
 namespace dflow::db {
 
-namespace {
-void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Increment();
-  }
-}
-}  // namespace
-
 BufferPool::BufferPool(BufferPoolOptions options,
                        std::unique_ptr<PageStore> store)
     : options_(options), store_(std::move(store)) {
   DFLOW_CHECK(store_ != nullptr);
+  SetMetricsRegistry(nullptr);
 }
 
 void BufferPool::SetWal(std::function<uint64_t()> current_lsn,
@@ -29,16 +22,28 @@ void BufferPool::SetWal(std::function<uint64_t()> current_lsn,
 }
 
 void BufferPool::SetMetricsRegistry(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    obs_ = ObsCounters{};
-    return;
-  }
-  obs_.hits = metrics->GetCounter("db.pool.hits");
-  obs_.misses = metrics->GetCounter("db.pool.misses");
-  obs_.evictions = metrics->GetCounter("db.pool.evictions");
-  obs_.writebacks = metrics->GetCounter("db.pool.writebacks");
-  obs_.allocations = metrics->GetCounter("db.pool.allocations");
-  obs_.frees = metrics->GetCounter("db.pool.frees");
+  // The registry being left stays alive until every handle has carried
+  // its count over.
+  std::unique_ptr<obs::MetricsRegistry> previous = std::move(owned_metrics_);
+  obs::MetricsRegistry& registry =
+      obs::InjectedOrOwned(metrics, &owned_metrics_);
+  hits_ = registry.GetCounter("db.pool.hits", hits_);
+  misses_ = registry.GetCounter("db.pool.misses", misses_);
+  evictions_ = registry.GetCounter("db.pool.evictions", evictions_);
+  writebacks_ = registry.GetCounter("db.pool.writebacks", writebacks_);
+  allocations_ = registry.GetCounter("db.pool.allocations", allocations_);
+  frees_ = registry.GetCounter("db.pool.frees", frees_);
+}
+
+BufferPool::Stats BufferPool::stats() const {
+  Stats stats;
+  stats.hits = hits_->Value();
+  stats.misses = misses_->Value();
+  stats.evictions = evictions_->Value();
+  stats.writebacks = writebacks_->Value();
+  stats.allocations = allocations_->Value();
+  stats.frees = frees_->Value();
+  return stats;
 }
 
 BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& other) noexcept {
@@ -131,8 +136,7 @@ Result<bool> BufferPool::EvictOne() {
   size_t idx = page_table_.at(victim->pid);
   page_table_.erase(victim->pid);
   eviction_log_.push_back(victim->pid);
-  ++stats_.evictions;
-  Bump(obs_.evictions);
+  evictions_->Add(1);
   victim->in_use = false;
   victim->page = Page();
   free_frames_.push_back(idx);
@@ -164,8 +168,7 @@ Status BufferPool::WriteBack(Frame& frame) {
                            {{"pid", std::to_string(frame.pid)}});
   }
   frame.dirty = false;
-  ++stats_.writebacks;
-  Bump(obs_.writebacks);
+  writebacks_->Add(1);
   return Status::OK();
 }
 
@@ -222,8 +225,7 @@ Result<uint32_t> BufferPool::Allocate() {
   }
   Touch(frame);
   page_table_[pid] = idx;
-  ++stats_.allocations;
-  Bump(obs_.allocations);
+  allocations_->Add(1);
   return pid;
 }
 
@@ -243,8 +245,7 @@ Status BufferPool::Free(uint32_t pid) {
     page_table_.erase(it);
   }
   free_pids_.insert(pid);
-  ++stats_.frees;
-  Bump(obs_.frees);
+  frees_->Add(1);
   return Status::OK();
 }
 
@@ -254,13 +255,11 @@ Result<BufferPool::PageRef> BufferPool::Pin(uint32_t pid) {
     Frame& frame = *frames_[it->second];
     Touch(frame);
     ++frame.pin_count;
-    ++stats_.hits;
-    Bump(obs_.hits);
+    hits_->Add(1);
     return PageRef(this, it->second);
   }
   // Miss: fetch from the store into a frame.
-  ++stats_.misses;
-  Bump(obs_.misses);
+  misses_->Add(1);
   if (options_.max_frames != 0 &&
       page_table_.size() >= options_.max_frames) {
     DFLOW_RETURN_IF_ERROR(EvictOne().status());

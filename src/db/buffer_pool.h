@@ -101,7 +101,10 @@ class BufferPool {
               std::function<uint64_t()> durable_lsn,
               std::function<Status(uint64_t)> ensure_durable);
 
-  /// Observability: db.pool.* counters and fetch/writeback spans.
+  /// Observability: counts into `metrics` from now on (null: a private
+  /// registry), carrying the counts so far over. Counters are
+  /// "db.pool.hits", ".misses", ".evictions", ".writebacks",
+  /// ".allocations", ".frees"; stats() reads them.
   void SetMetricsRegistry(obs::MetricsRegistry* metrics);
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
@@ -122,7 +125,7 @@ class BufferPool {
     int64_t allocations = 0;
     int64_t frees = 0;
   };
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
   size_t resident_pages() const { return page_table_.size(); }
   size_t max_frames() const { return options_.max_frames; }
@@ -165,18 +168,16 @@ class BufferPool {
   std::function<Status(uint64_t)> ensure_durable_;
   WritebackProbe writeback_probe_;
 
-  Stats stats_;
   std::vector<uint32_t> eviction_log_;
 
-  struct ObsCounters {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* writebacks = nullptr;
-    obs::Counter* allocations = nullptr;
-    obs::Counter* frees = nullptr;
-  };
-  ObsCounters obs_;
+  // The pool's one counter store and handles into it.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* writebacks_ = nullptr;
+  obs::Counter* allocations_ = nullptr;
+  obs::Counter* frees_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -15,13 +15,6 @@ int64_t UsOf(double seconds) {
   return static_cast<int64_t>(std::llround(seconds * 1e6));
 }
 
-/// Registry-mirror bump: a no-op branch unless a registry was attached.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 const char* OutcomeLabel(DeliveryOutcome outcome, bool verified) {
   switch (outcome) {
     case DeliveryOutcome::kDelivered:
@@ -76,19 +69,20 @@ TransferScheduler::TransferScheduler(sim::Simulation* simulation,
     : simulation_(simulation), channel_(channel), max_retries_(max_retries) {
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(channel_ != nullptr);
+  SetObserver(nullptr, nullptr);
 }
 
 void TransferScheduler::SetObserver(obs::Tracer* tracer,
                                     obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.delivered = metrics_->GetCounter("net.transfer.delivered");
-    obs_.retries = metrics_->GetCounter("net.transfer.retries");
-    obs_.failures = metrics_->GetCounter("net.transfer.failures");
-  } else {
-    obs_ = ObsCounters{};
-  }
+  // The registry being left stays alive until every handle has carried
+  // its count over.
+  std::unique_ptr<obs::MetricsRegistry> previous = std::move(owned_metrics_);
+  obs::MetricsRegistry& registry =
+      obs::InjectedOrOwned(metrics, &owned_metrics_);
+  delivered_ = registry.GetCounter("net.transfer.delivered", delivered_);
+  retries_ = registry.GetCounter("net.transfer.retries", retries_);
+  failures_ = registry.GetCounter("net.transfer.failures", failures_);
 }
 
 Status TransferScheduler::SendAll(std::vector<TransferItem> items,
@@ -165,18 +159,16 @@ void TransferScheduler::SendOne(TransferItem item, int attempt) {
         }
         if (!ok) {
           if (attempt + 1 > max_retries_) {
-            ++failures_;
-            Bump(obs_.failures);
+            failures_->Add(1);
             DFLOW_LOG(Error) << "transfer of '" << delivered.name
                              << "' failed permanently";
           } else {
-            ++retries_;
-            Bump(obs_.retries);
+            retries_->Add(1);
             Resend(delivered.name, attempt + 1);
             return;
           }
         } else {
-          Bump(obs_.delivered);
+          delivered_->Add(1);
         }
         if (--outstanding_ == 0 && on_all_delivered_) {
           on_all_delivered_();
@@ -184,8 +176,7 @@ void TransferScheduler::SendOne(TransferItem item, int attempt) {
       });
   if (!s.ok()) {
     DFLOW_LOG(Error) << "send failed: " << s.ToString();
-    ++failures_;
-    Bump(obs_.failures);
+    failures_->Add(1);
     if (--outstanding_ == 0 && on_all_delivered_) {
       on_all_delivered_();
     }

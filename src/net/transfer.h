@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,13 +60,13 @@ class TransferScheduler {
   /// Attaches observability hooks (borrowed; either may be null). With a
   /// tracer, every send attempt emits one virtual-time "net.transfer" span
   /// (channel latency, with name/attempt/outcome args) and every
-  /// retransmit an instant event. With a registry, counters are mirrored
-  /// under "net.transfer.delivered", ".retries", ".failures". Attach
-  /// before SendAll().
+  /// retransmit an instant event. The counters move into `metrics` (null:
+  /// a private registry), counts so far carried over, under
+  /// "net.transfer.delivered", ".retries", ".failures".
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  int64_t retries() const { return retries_; }
-  int64_t failures() const { return failures_; }
+  int64_t retries() const { return retries_->Value(); }
+  int64_t failures() const { return failures_->Value(); }
   const TransferManifest& manifest() const { return manifest_; }
   bool AllDelivered() const { return outstanding_ == 0 && started_; }
 
@@ -84,20 +85,16 @@ class TransferScheduler {
   double backoff_multiplier_ = 2.0;
   TransferManifest manifest_;
   int64_t outstanding_ = 0;
-  int64_t retries_ = 0;
-  int64_t failures_ = 0;
   bool started_ = false;
   std::function<void()> on_all_delivered_;
 
-  // Observability (both null until SetObserver).
+  // Observability: the tracer (null until SetObserver), the one counter
+  // store, and handles into it, resolved once per SetObserver.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
-    obs::Counter* delivered = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* failures = nullptr;
-  };
-  ObsCounters obs_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* delivered_ = nullptr;
+  obs::Counter* retries_ = nullptr;
+  obs::Counter* failures_ = nullptr;
 };
 
 }  // namespace dflow::net

@@ -10,13 +10,13 @@ namespace dflow::obs {
 /// Log-bucketed latency histogram. Buckets grow geometrically (factor 1.25)
 /// from 1 µs, so the relative quantile error is bounded by ~25% across
 /// twelve decades while the whole object is a fixed-size array — cheap to
-/// keep one per worker and Merge() at read time, which is how `ServeLoop`
-/// records latencies without a global lock on the hot path and how the
-/// obs metrics registry stripes its histograms.
+/// keep one per worker and Merge() at read time, which is how the obs
+/// metrics registry stripes its histograms (and so how `ServeLoop` records
+/// latencies without a global lock on the hot path).
 ///
 /// (Grew up in the dissemination tier as serve::LatencyHistogram; it moved
 /// down into the observability layer so every tier can record durations
-/// without depending on serve. serve/latency_histogram.h aliases it.)
+/// without depending on serve.)
 ///
 /// Not internally synchronized: callers either own one exclusively (one
 /// per worker stripe) or guard it externally.

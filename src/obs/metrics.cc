@@ -87,11 +87,15 @@ void StripedHistogram::Reset() {
   }
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+Counter* MetricsRegistry::GetCounter(const std::string& name,
+                                     const Counter* carry) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Counter>();
+  }
+  if (carry != nullptr && carry != slot.get()) {
+    slot->Add(carry->Value());
   }
   return slot.get();
 }
@@ -203,6 +207,17 @@ std::string MetricsRegistry::SnapshotJson() const {
   }
   out += "}}";
   return out;
+}
+
+MetricsRegistry& InjectedOrOwned(MetricsRegistry* injected,
+                                 std::unique_ptr<MetricsRegistry>* owned) {
+  if (injected != nullptr) {
+    return *injected;
+  }
+  if (*owned == nullptr) {
+    *owned = std::make_unique<MetricsRegistry>();
+  }
+  return **owned;
 }
 
 void MetricsRegistry::Reset() {

@@ -48,10 +48,9 @@ class Gauge {
 };
 
 /// Thread-safe log-bucketed histogram: N independently locked
-/// LatencyHistogram stripes selected by thread-id hash — the same striping
-/// ServeLoop uses for its tail-latency measurement, packaged so any named
-/// duration in the registry gets it for free. Snapshot() merges at read
-/// time.
+/// LatencyHistogram stripes selected by thread-id hash, so concurrent
+/// recorders rarely share a lock (ServeLoop's tail latency lives in one).
+/// Snapshot() merges at read time.
 class StripedHistogram {
  public:
   explicit StripedHistogram(int num_stripes = 8);
@@ -91,8 +90,10 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Finds or creates. The returned pointer is valid for the registry's
-  /// lifetime.
-  Counter* GetCounter(const std::string& name);
+  /// lifetime. `carry` is the handle an object is rebinding away from (its
+  /// previous registry's counter of the same name): its value is added
+  /// here, so a count never goes down when its owner changes registry.
+  Counter* GetCounter(const std::string& name, const Counter* carry = nullptr);
   Gauge* GetGauge(const std::string& name);
   /// `num_stripes` only applies on first creation.
   StripedHistogram* GetHistogram(const std::string& name,
@@ -124,6 +125,14 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<StripedHistogram>> histograms_;
 };
+
+/// The one counter store of an instrumented object: the injected registry
+/// when there is one, else `*owned`, created on first use. Every subsystem
+/// keeps its counters only here and reads its stats back from the handles.
+/// A registry serves one instance of a kind: two instances that share one
+/// also share (and both report) its counters.
+MetricsRegistry& InjectedOrOwned(MetricsRegistry* injected,
+                                 std::unique_ptr<MetricsRegistry>* owned);
 
 }  // namespace dflow::obs
 

@@ -20,33 +20,37 @@ int64_t UsOf(double seconds) {
 Scrubber::Scrubber(sim::Simulation* simulation, storage::TapeLibrary* primary,
                    storage::TapeLibrary* replica, ScrubberConfig config)
     : simulation_(simulation), primary_(primary), replica_(replica),
-      config_(config) {
+      config_(config), passes_left_(config.passes) {
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(primary_ != nullptr);
   DFLOW_CHECK(config_.files_per_cycle > 0);
   DFLOW_CHECK(config_.cycle_interval_sec >= 0.0);
   DFLOW_CHECK(config_.passes >= 1);
+  SetObserver(nullptr, nullptr);
 }
 
 void Scrubber::SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.files_scanned = metrics_->GetCounter("scrub.files_scanned");
-    obs_.bad_blocks_found = metrics_->GetCounter("scrub.bad_blocks_found");
-    obs_.silent_corruption_found =
-        metrics_->GetCounter("scrub.silent_corruption_found");
-    obs_.tickets_filed = metrics_->GetCounter("scrub.tickets_filed");
-    obs_.tickets_deduped = metrics_->GetCounter("scrub.tickets_deduped");
-    obs_.repairs_local = metrics_->GetCounter("scrub.repairs_local");
-    obs_.restored_from_replica =
-        metrics_->GetCounter("scrub.restored_from_replica");
-    obs_.already_repaired = metrics_->GetCounter("scrub.already_repaired");
-    obs_.unrecoverable = metrics_->GetCounter("scrub.unrecoverable");
-    obs_.passes = metrics_->GetCounter("scrub.passes");
-  } else {
-    obs_ = ObsCounters{};
-  }
+  // The registry being left stays alive until every handle has carried
+  // its count over.
+  std::unique_ptr<obs::MetricsRegistry> previous = std::move(owned_metrics_);
+  obs::MetricsRegistry& registry =
+      obs::InjectedOrOwned(metrics, &owned_metrics_);
+  files_scanned_ = registry.GetCounter("scrub.files_scanned", files_scanned_);
+  bad_blocks_found_ =
+      registry.GetCounter("scrub.bad_blocks_found", bad_blocks_found_);
+  silent_corruption_found_ = registry.GetCounter(
+      "scrub.silent_corruption_found", silent_corruption_found_);
+  tickets_filed_ = registry.GetCounter("scrub.tickets_filed", tickets_filed_);
+  tickets_deduped_ =
+      registry.GetCounter("scrub.tickets_deduped", tickets_deduped_);
+  repairs_local_ = registry.GetCounter("scrub.repairs_local", repairs_local_);
+  restored_from_replica_ = registry.GetCounter("scrub.restored_from_replica",
+                                               restored_from_replica_);
+  already_repaired_ =
+      registry.GetCounter("scrub.already_repaired", already_repaired_);
+  unrecoverable_ = registry.GetCounter("scrub.unrecoverable", unrecoverable_);
+  passes_ = registry.GetCounter("scrub.passes", passes_);
 }
 
 Status Scrubber::Start() {
@@ -66,9 +70,8 @@ void Scrubber::RunCycle() {
     cursor_ = 0;
     if (worklist_.empty()) {
       // Nothing archived yet; try again next cycle unless out of passes.
-      ++passes_completed_;
-      Bump(obs_.passes);
-      if (passes_completed_ < config_.passes) {
+      passes_->Add(1);
+      if (--passes_left_ > 0) {
         simulation_->Schedule(config_.cycle_interval_sec,
                               [this] { RunCycle(); });
       }
@@ -90,10 +93,10 @@ void Scrubber::RunCycle() {
   }
   bool pass_done = cursor_ >= worklist_.size();
   if (pass_done) {
-    ++passes_completed_;
-    Bump(obs_.passes);
+    passes_->Add(1);
+    --passes_left_;
   }
-  if (!pass_done || passes_completed_ < config_.passes) {
+  if (!pass_done || passes_left_ > 0) {
     simulation_->Schedule(config_.cycle_interval_sec, [this] { RunCycle(); });
   }
 }
@@ -104,11 +107,9 @@ void Scrubber::ScrubFile(const std::string& file) {
   // checksum comparison afterwards catches silent bit rot the read does
   // not report.
   Status s = primary_->ReadChecked(file, [this, file](Result<int64_t> bytes) {
-    ++files_scanned_;
-    Bump(obs_.files_scanned);
+    files_scanned_->Add(1);
     if (!bytes.ok()) {
-      ++bad_blocks_found_;
-      Bump(obs_.bad_blocks_found);
+      bad_blocks_found_->Add(1);
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("scrub.bad_block", "recover", {{"file", file}});
       }
@@ -116,8 +117,7 @@ void Scrubber::ScrubFile(const std::string& file) {
       return;
     }
     if (primary_->IsSilentlyCorrupt(file)) {
-      ++silent_corruption_found_;
-      Bump(obs_.silent_corruption_found);
+      silent_corruption_found_->Add(1);
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("scrub.silent_corruption", "recover",
                              {{"file", file}});
@@ -137,13 +137,11 @@ void Scrubber::FileTicket(const std::string& file, const std::string& reason) {
   if (pending_tickets_.count(file) > 0) {
     // A ticket is already on its way for this file (e.g. the loud bad
     // block was also seen by an HSM recall this pass): never double-file.
-    ++tickets_deduped_;
-    Bump(obs_.tickets_deduped);
+    tickets_deduped_->Add(1);
     return;
   }
   pending_tickets_.insert(file);
-  ++tickets_filed_;
-  Bump(obs_.tickets_filed);
+  tickets_filed_->Add(1);
   if (obs::Tracer* tracer = ActiveTracer()) {
     tracer->InstantEvent("scrub.ticket_filed", "recover",
                          {{"file", file}, {"reason", reason}});
@@ -162,8 +160,7 @@ void Scrubber::ExecuteTicket(const std::string& file) {
     // Someone else fixed it first (an HSM recall's operator repair, or a
     // concurrent migration re-write). Counting — not re-repairing — is
     // the no-double-repair contract.
-    ++already_repaired_;
-    Bump(obs_.already_repaired);
+    already_repaired_->Add(1);
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("scrub.already_repaired", "recover",
                            {{"file", file}});
@@ -175,8 +172,7 @@ void Scrubber::ExecuteTicket(const std::string& file) {
                        !replica_->IsSilentlyCorrupt(file);
   if (silent && !replica_clean) {
     // Bit rot with no clean copy anywhere: nothing to restore from.
-    ++unrecoverable_;
-    Bump(obs_.unrecoverable);
+    unrecoverable_->Add(1);
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("scrub.unrecoverable", "recover",
                            {{"file", file}});
@@ -189,11 +185,9 @@ void Scrubber::ExecuteTicket(const std::string& file) {
     primary_->RepairBadBlock(file);
     primary_->ClearSilentCorruption(file);
     if (from_replica) {
-      ++restored_from_replica_;
-      Bump(obs_.restored_from_replica);
+      restored_from_replica_->Add(1);
     } else {
-      ++repairs_local_;
-      Bump(obs_.repairs_local);
+      repairs_local_->Add(1);
     }
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("scrub.repaired", "recover",
@@ -213,8 +207,7 @@ void Scrubber::ExecuteTicket(const std::string& file) {
             if (primary_->HasBadBlock(file)) {
               finish_repair(/*from_replica=*/false);
             } else {
-              ++unrecoverable_;
-              Bump(obs_.unrecoverable);
+              unrecoverable_->Add(1);
             }
             return;
           }

@@ -2,6 +2,7 @@
 #define DFLOW_RECOVER_SCRUBBER_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,8 +56,10 @@ struct ScrubberConfig {
 ///     suppressed duplicates) — never a lost ticket: every detection
 ///     either joins an existing ticket or files a new one.
 ///
-/// Observability: with SetObserver, counters land under "scrub.*" and each
-/// cycle emits a virtual-time span plus instants for detections/repairs.
+/// Observability: the counters live under "scrub.*" in one registry (the
+/// one SetObserver attaches, else a private one) and the accessors read
+/// them; with a tracer, each cycle emits a virtual-time span plus instants
+/// for detections/repairs.
 class Scrubber {
  public:
   /// `replica` may be null (no surviving copy to restore from). Borrowed
@@ -67,23 +70,29 @@ class Scrubber {
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// Attaches observability hooks (borrowed; either may be null).
+  /// Attaches observability hooks (borrowed; either may be null). The
+  /// counters move into `metrics` (null: a private registry), counts so
+  /// far carried over.
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// Schedules the first cycle `cycle_interval_sec` from now.
   /// FailedPrecondition if already started.
   Status Start();
 
-  int64_t files_scanned() const { return files_scanned_; }
-  int64_t bad_blocks_found() const { return bad_blocks_found_; }
-  int64_t silent_corruption_found() const { return silent_corruption_found_; }
-  int64_t tickets_filed() const { return tickets_filed_; }
-  int64_t tickets_deduped() const { return tickets_deduped_; }
-  int64_t repairs_local() const { return repairs_local_; }
-  int64_t restored_from_replica() const { return restored_from_replica_; }
-  int64_t already_repaired() const { return already_repaired_; }
-  int64_t unrecoverable() const { return unrecoverable_; }
-  int passes_completed() const { return passes_completed_; }
+  int64_t files_scanned() const { return files_scanned_->Value(); }
+  int64_t bad_blocks_found() const { return bad_blocks_found_->Value(); }
+  int64_t silent_corruption_found() const {
+    return silent_corruption_found_->Value();
+  }
+  int64_t tickets_filed() const { return tickets_filed_->Value(); }
+  int64_t tickets_deduped() const { return tickets_deduped_->Value(); }
+  int64_t repairs_local() const { return repairs_local_->Value(); }
+  int64_t restored_from_replica() const {
+    return restored_from_replica_->Value();
+  }
+  int64_t already_repaired() const { return already_repaired_->Value(); }
+  int64_t unrecoverable() const { return unrecoverable_->Value(); }
+  int passes_completed() const { return static_cast<int>(passes_->Value()); }
   /// Tickets filed but not yet executed.
   int64_t tickets_pending() const {
     return static_cast<int64_t>(pending_tickets_.size());
@@ -97,11 +106,6 @@ class Scrubber {
   obs::Tracer* ActiveTracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
   }
-  void Bump(obs::Counter* counter) {
-    if (counter != nullptr) {
-      counter->Add(1);
-    }
-  }
 
   sim::Simulation* simulation_;
   storage::TapeLibrary* primary_;
@@ -111,34 +115,25 @@ class Scrubber {
   bool started_ = false;
   std::vector<std::string> worklist_;  // Snapshot of one pass, sorted.
   size_t cursor_ = 0;
-  int passes_completed_ = 0;
+  // Passes still to run. Scheduling state, kept off the registry so that a
+  // registry shared with other scrubbers cannot end this scrub early.
+  int passes_left_;
   std::set<std::string> pending_tickets_;
 
-  int64_t files_scanned_ = 0;
-  int64_t bad_blocks_found_ = 0;
-  int64_t silent_corruption_found_ = 0;
-  int64_t tickets_filed_ = 0;
-  int64_t tickets_deduped_ = 0;
-  int64_t repairs_local_ = 0;
-  int64_t restored_from_replica_ = 0;
-  int64_t already_repaired_ = 0;
-  int64_t unrecoverable_ = 0;
-
+  // The tracer (null until SetObserver), the one counter store, and
+  // handles into it, resolved once per SetObserver.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
-    obs::Counter* files_scanned = nullptr;
-    obs::Counter* bad_blocks_found = nullptr;
-    obs::Counter* silent_corruption_found = nullptr;
-    obs::Counter* tickets_filed = nullptr;
-    obs::Counter* tickets_deduped = nullptr;
-    obs::Counter* repairs_local = nullptr;
-    obs::Counter* restored_from_replica = nullptr;
-    obs::Counter* already_repaired = nullptr;
-    obs::Counter* unrecoverable = nullptr;
-    obs::Counter* passes = nullptr;
-  };
-  ObsCounters obs_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* files_scanned_ = nullptr;
+  obs::Counter* bad_blocks_found_ = nullptr;
+  obs::Counter* silent_corruption_found_ = nullptr;
+  obs::Counter* tickets_filed_ = nullptr;
+  obs::Counter* tickets_deduped_ = nullptr;
+  obs::Counter* repairs_local_ = nullptr;
+  obs::Counter* restored_from_replica_ = nullptr;
+  obs::Counter* already_repaired_ = nullptr;
+  obs::Counter* unrecoverable_ = nullptr;
+  obs::Counter* passes_ = nullptr;
 };
 
 }  // namespace dflow::recover

@@ -94,15 +94,6 @@ ResponsePtr ShardedResponseCache::LookupShared(std::string_view key,
   return entry_it->response;
 }
 
-std::optional<core::ServiceResponse> ShardedResponseCache::Lookup(
-    const std::string& key, double now_sec) {
-  ResponsePtr shared = LookupShared(key, now_sec);
-  if (shared == nullptr) {
-    return std::nullopt;
-  }
-  return *shared;
-}
-
 void ShardedResponseCache::InsertShared(std::string_view key,
                                         ResponsePtr response, double now_sec,
                                         double ttl_sec) {
@@ -143,15 +134,6 @@ void ShardedResponseCache::InsertShared(std::string_view key,
     shard.lru.pop_back();
     ++shard.stats.evictions;
   }
-}
-
-void ShardedResponseCache::Insert(const std::string& key,
-                                  core::ServiceResponse response,
-                                  double now_sec, double ttl_sec) {
-  InsertShared(key,
-               std::make_shared<const core::ServiceResponse>(
-                   std::move(response)),
-               now_sec, ttl_sec);
 }
 
 bool ShardedResponseCache::Erase(const std::string& key) {

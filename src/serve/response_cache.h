@@ -6,7 +6,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -95,15 +94,6 @@ class ShardedResponseCache {
   /// cache shares ownership with every outstanding reader.
   void InsertShared(std::string_view key, ResponsePtr response,
                     double now_sec, double ttl_sec = 0.0);
-
-  /// Copying shim over LookupShared for callers that want a value.
-  std::optional<core::ServiceResponse> Lookup(const std::string& key,
-                                              double now_sec);
-
-  /// Copying-free shim over InsertShared (wraps `response` in a fresh
-  /// control block; the body itself is moved, not copied).
-  void Insert(const std::string& key, core::ServiceResponse response,
-              double now_sec, double ttl_sec = 0.0);
 
   /// Removes `key` if present; returns whether it was.
   bool Erase(const std::string& key);

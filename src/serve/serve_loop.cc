@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <future>
-#include <thread>
 #include <utility>
 
 #include "serve/request_scratch.h"
@@ -24,14 +22,6 @@ std::string TopLevelPrefix(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(0, slash);
 }
 
-/// Registry-mirror bump: a no-op branch unless a MetricsRegistry was
-/// attached through ServeConfig.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 }  // namespace
 
 ServeLoop::ServeLoop(core::ServiceRegistry* registry, ServeConfig config,
@@ -42,36 +32,29 @@ ServeLoop::ServeLoop(core::ServiceRegistry* registry, ServeConfig config,
       epoch_(std::chrono::steady_clock::now()) {
   DFLOW_CHECK(registry_ != nullptr);
   DFLOW_CHECK(config_.num_workers > 0);
-  int num_stripes = std::max(2 * config_.num_workers, 4);
-  stripes_.reserve(static_cast<size_t>(num_stripes));
-  for (int i = 0; i < num_stripes; ++i) {
-    stripes_.push_back(std::make_unique<HistogramStripe>());
-  }
   breaker_rng_ = Rng(config_.breaker.seed);
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry* registry = config_.metrics;
-    reg_.offered = registry->GetCounter("serve.offered");
-    reg_.admitted = registry->GetCounter("serve.admitted");
-    reg_.shed = registry->GetCounter("serve.shed");
-    reg_.completed = registry->GetCounter("serve.completed");
-    reg_.errors = registry->GetCounter("serve.errors");
-    reg_.deadline_expired = registry->GetCounter("serve.deadline_expired");
-    reg_.cache_hits = registry->GetCounter("serve.cache_hits");
-    reg_.cache_misses = registry->GetCounter("serve.cache_misses");
-    reg_latency_ = registry->GetHistogram("serve.latency_sec", num_stripes);
-    reg_hit_alloc_ = registry->GetGauge("serve.hit_alloc_bytes");
-    // Publish which ISA tier the kernel layer dispatched to, so scenario
-    // fingerprints and benches can assert on the code path they measured.
-    simd::PublishDispatch(registry);
-    if (config_.breaker.enabled) {
-      breaker_reg_.opened = registry->GetCounter("serve.breaker_opened");
-      breaker_reg_.closed = registry->GetCounter("serve.breaker_closed");
-      breaker_reg_.probes = registry->GetCounter("serve.breaker_probes");
-      breaker_reg_.failover = registry->GetCounter("serve.failover");
-      breaker_reg_.rejected = registry->GetCounter("serve.breaker_rejected");
-    }
-  }
+  obs::MetricsRegistry& metrics =
+      obs::InjectedOrOwned(config_.metrics, &owned_metrics_);
+  offered_ = metrics.GetCounter("serve.offered");
+  admitted_ = metrics.GetCounter("serve.admitted");
+  shed_ = metrics.GetCounter("serve.shed");
+  completed_ = metrics.GetCounter("serve.completed");
+  errors_ = metrics.GetCounter("serve.errors");
+  deadline_expired_ = metrics.GetCounter("serve.deadline_expired");
+  cache_hits_ = metrics.GetCounter("serve.cache_hits");
+  cache_misses_ = metrics.GetCounter("serve.cache_misses");
+  latency_ = metrics.GetHistogram("serve.latency_sec",
+                                  std::max(2 * config_.num_workers, 4));
+  hit_alloc_bytes_ = metrics.GetGauge("serve.hit_alloc_bytes");
+  // Publish which ISA tier the kernel layer dispatched to, so scenario
+  // fingerprints and benches can assert on the code path they measured.
+  simd::PublishDispatch(&metrics);
   if (config_.breaker.enabled) {
+    breaker_opened_ = metrics.GetCounter("serve.breaker_opened");
+    breaker_closed_ = metrics.GetCounter("serve.breaker_closed");
+    breaker_probes_ = metrics.GetCounter("serve.breaker_probes");
+    failover_requests_ = metrics.GetCounter("serve.failover");
+    breaker_rejected_ = metrics.GetCounter("serve.breaker_rejected");
     DFLOW_CHECK(config_.breaker.failure_threshold >= 1);
     DFLOW_CHECK(config_.breaker.open_sec > 0.0);
     DFLOW_CHECK(config_.breaker.open_max_sec >= config_.breaker.open_sec);
@@ -98,26 +81,8 @@ double ServeLoop::RetryAfterFor(int64_t consecutive_sheds) const {
   return std::min(delay, hint.backoff_max_sec);
 }
 
-void ServeLoop::RecordLatency(double seconds) {
-  size_t stripe = std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-                  stripes_.size();
-  HistogramStripe& s = *stripes_[stripe];
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.histogram.Record(seconds);
-  }
-  if (reg_latency_ != nullptr) {
-    reg_latency_->Record(seconds);
-  }
-}
-
-LatencyHistogram ServeLoop::Latencies() const {
-  LatencyHistogram merged;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    merged.Merge(stripe->histogram);
-  }
-  return merged;
+obs::LatencyHistogram ServeLoop::Latencies() const {
+  return latency_->Snapshot();
 }
 
 Result<core::ServiceResponse> ServeLoop::DispatchTo(
@@ -164,8 +129,7 @@ void ServeLoop::TripLocked(MountHealth& health, const std::string& prefix) {
     window *= 1.0 + b.jitter_fraction * (2.0 * breaker_rng_.NextDouble() - 1.0);
   }
   health.open_until_sec = NowSec() + window;
-  breaker_opened_.fetch_add(1, std::memory_order_relaxed);
-  Bump(breaker_reg_.opened);
+  breaker_opened_->Add(1);
   if (obs::Tracer* tracer = ActiveTracer()) {
     char window_buf[32];
     std::snprintf(window_buf, sizeof(window_buf), "%.6g", window);
@@ -203,8 +167,7 @@ void ServeLoop::NoteProbeResult(const std::string& prefix, bool ok) {
     health.state = MountHealth::State::kClosed;
     health.consecutive_failures = 0;
     health.consecutive_trips = 0;
-    breaker_closed_.fetch_add(1, std::memory_order_relaxed);
-    Bump(breaker_reg_.closed);
+    breaker_closed_->Add(1);
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("breaker_closed", "serve", {{"mount", prefix}});
     }
@@ -251,8 +214,7 @@ Result<core::ServiceResponse> ServeLoop::Dispatch(
   }
   switch (route) {
     case Route::kReject: {
-      breaker_rejected_.fetch_add(1, std::memory_order_relaxed);
-      Bump(breaker_reg_.rejected);
+      breaker_rejected_->Add(1);
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("breaker_rejected", "serve",
                              {{"mount", prefix}, {"path", request.path}});
@@ -262,8 +224,7 @@ Result<core::ServiceResponse> ServeLoop::Dispatch(
                                        "registered; failing fast");
     }
     case Route::kReplica: {
-      failover_requests_.fetch_add(1, std::memory_order_relaxed);
-      Bump(breaker_reg_.failover);
+      failover_requests_->Add(1);
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("failover", "serve",
                              {{"mount", prefix}, {"path", request.path}});
@@ -273,8 +234,7 @@ Result<core::ServiceResponse> ServeLoop::Dispatch(
       return DispatchTo(replica, request, "\x01replica/" + prefix);
     }
     case Route::kProbe: {
-      breaker_probes_.fetch_add(1, std::memory_order_relaxed);
-      Bump(breaker_reg_.probes);
+      breaker_probes_->Add(1);
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("breaker_probe", "serve", {{"mount", prefix}});
       }
@@ -307,8 +267,7 @@ void ServeLoop::Process(core::ServiceRequest request, SharedDoneFn done,
   double now = NowSec();
   if (deadline_at_sec > 0.0 && now > deadline_at_sec) {
     // Died of old age in the admission queue; don't waste backend time.
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    Bump(reg_.deadline_expired);
+    deadline_expired_->Add(1);
     if (tracer != nullptr) {
       tracer->InstantEvent("deadline_expired", "serve",
                            {{"path", request.path}});
@@ -329,11 +288,9 @@ void ServeLoop::Process(core::ServiceRequest request, SharedDoneFn done,
         {{"path", request.path},
          {"status", result.ok() ? "ok" : result.status().ToString()}});
   }
-  double latency = NowSec() - start_sec;
-  RecordLatency(latency);
+  latency_->Record(NowSec() - start_sec);
   if (result.ok()) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    Bump(reg_.completed);
+    completed_->Add(1);
     // One shared immutable copy of the response: the cache and every
     // outstanding reader refcount the SAME object — the body is never
     // copied again after this move.
@@ -347,8 +304,7 @@ void ServeLoop::Process(core::ServiceRequest request, SharedDoneFn done,
       done(Result<ResponsePtr>(std::move(shared)));
     }
   } else {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    Bump(reg_.errors);
+    errors_->Add(1);
     if (done) {
       done(result.status());
     }
@@ -358,8 +314,7 @@ void ServeLoop::Process(core::ServiceRequest request, SharedDoneFn done,
 Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
                                   core::ServiceRequest* owned,
                                   SharedDoneFn done, double deadline_sec) {
-  offered_.fetch_add(1, std::memory_order_relaxed);
-  Bump(reg_.offered);
+  offered_->Add(1);
   obs::Tracer* tracer = ActiveTracer();
   double start_sec = NowSec();
   // Canonical key goes into the calling thread's warmed scratch buffer:
@@ -373,11 +328,7 @@ Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
   const int64_t grew =
       scratch.NoteStringGrowth(key_cap_before, key.capacity());
   if (grew > 0) {
-    hit_alloc_bytes_.fetch_add(grew, std::memory_order_relaxed);
-    if (reg_hit_alloc_ != nullptr) {
-      reg_hit_alloc_->Set(static_cast<double>(
-          hit_alloc_bytes_.load(std::memory_order_relaxed)));
-    }
+    hit_alloc_bytes_->Add(static_cast<double>(grew));
   }
   if (cache_ != nullptr) {
     int64_t lookup_start_us = tracer != nullptr ? tracer->NowUs() : 0;
@@ -393,23 +344,19 @@ Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
       // Cache hits bypass the admission queue entirely: the whole point of
       // the dissemination cache is that hot requests cost no backend time.
       // From here to `done` there is no allocation and no body copy —
-      // counters are relaxed atomics, RecordLatency writes fixed-size
-      // histogram arrays, and the response rides out by refcount.
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      Bump(reg_.cache_hits);
-      Bump(reg_.admitted);
-      Bump(reg_.completed);
+      // counters are relaxed atomics, the latency histogram writes
+      // fixed-size arrays, and the response rides out by refcount.
+      cache_hits_->Add(1);
+      admitted_->Add(1);
+      completed_->Add(1);
       consecutive_sheds_.store(0, std::memory_order_relaxed);
-      RecordLatency(NowSec() - start_sec);
+      latency_->Record(NowSec() - start_sec);
       if (done) {
         done(Result<ResponsePtr>(std::move(hit)));
       }
       return Status::OK();
     }
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    Bump(reg_.cache_misses);
+    cache_misses_->Add(1);
   }
 
   double effective_deadline = deadline_sec == 0.0
@@ -436,8 +383,7 @@ Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
         consecutive_sheds_.fetch_add(1, std::memory_order_relaxed) + 1;
     double retry_after = RetryAfterFor(streak);
     last_retry_after_sec_.store(retry_after, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    Bump(reg_.shed);
+    shed_->Add(1);
     if (tracer != nullptr) {
       char retry_buf[32];
       std::snprintf(retry_buf, sizeof(retry_buf), "%.6g", retry_after);
@@ -450,8 +396,7 @@ Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
         std::to_string(retry_after) + "s");
   }
   consecutive_sheds_.store(0, std::memory_order_relaxed);
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  Bump(reg_.admitted);
+  admitted_->Add(1);
   return Status::OK();
 }
 
@@ -562,24 +507,24 @@ std::vector<ServeLoop::MountHealthSnapshot> ServeLoop::HealthSnapshot() const {
 
 ServeStats ServeLoop::Stats() const {
   ServeStats stats;
-  stats.offered = offered_.load(std::memory_order_relaxed);
-  stats.admitted = admitted_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
-  stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  stats.hit_alloc_bytes = hit_alloc_bytes_.load(std::memory_order_relaxed);
+  stats.offered = offered_->Value();
+  stats.admitted = admitted_->Value();
+  stats.shed = shed_->Value();
+  stats.completed = completed_->Value();
+  stats.errors = errors_->Value();
+  stats.deadline_expired = deadline_expired_->Value();
+  stats.cache_hits = cache_hits_->Value();
+  stats.cache_misses = cache_misses_->Value();
+  stats.hit_alloc_bytes = static_cast<int64_t>(hit_alloc_bytes_->Value());
   stats.last_retry_after_sec =
       last_retry_after_sec_.load(std::memory_order_relaxed);
-  stats.breaker_opened = breaker_opened_.load(std::memory_order_relaxed);
-  stats.breaker_closed = breaker_closed_.load(std::memory_order_relaxed);
-  stats.breaker_probes = breaker_probes_.load(std::memory_order_relaxed);
-  stats.failover_requests =
-      failover_requests_.load(std::memory_order_relaxed);
-  stats.breaker_rejected =
-      breaker_rejected_.load(std::memory_order_relaxed);
+  if (config_.breaker.enabled) {
+    stats.breaker_opened = breaker_opened_->Value();
+    stats.breaker_closed = breaker_closed_->Value();
+    stats.breaker_probes = breaker_probes_->Value();
+    stats.failover_requests = failover_requests_->Value();
+    stats.breaker_rejected = breaker_rejected_->Value();
+  }
   return stats;
 }
 

@@ -13,9 +13,9 @@
 
 #include "core/flow_runner.h"  // core::RetryPolicy — retry-after hint shape.
 #include "core/web_service.h"
+#include "obs/latency_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/latency_histogram.h"
 #include "serve/response_cache.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -100,12 +100,13 @@ struct ServeConfig {
   /// golden traces of serialized runs. A null or disabled tracer costs one
   /// branch per request.
   obs::Tracer* tracer = nullptr;
-  /// With a registry attached, the loop mirrors its counters under
-  /// "serve.offered", ".admitted", ".shed", ".completed", ".errors",
-  /// ".deadline_expired", ".cache_hits", ".cache_misses" and records every
-  /// admitted-request latency into the "serve.latency_sec" histogram —
-  /// the same numbers as Stats()/Latencies(), published into the shared
-  /// substrate the other tiers report into.
+  /// The registry the loop counts into (null: a private one it owns). Its
+  /// counters are "serve.offered", ".admitted", ".shed", ".completed",
+  /// ".errors", ".deadline_expired", ".cache_hits", ".cache_misses" (plus
+  /// "serve.breaker_opened", ".breaker_closed", ".breaker_probes",
+  /// ".failover", ".breaker_rejected" with the breaker enabled), the
+  /// "serve.hit_alloc_bytes" gauge and the "serve.latency_sec" histogram;
+  /// Stats() and Latencies() read exactly these. Give each loop its own.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -120,7 +121,7 @@ struct ServeStats {
   int64_t cache_misses = 0;
   /// Cumulative bytes of backing storage the cache-HIT path has ever had
   /// to acquire (thread-local key-buffer warmup, in practice). Flat under
-  /// steady load == the hit path is allocation-free; mirrored as the
+  /// steady load == the hit path is allocation-free; read from the
   /// "serve.hit_alloc_bytes" gauge.
   int64_t hit_alloc_bytes = 0;
   double last_retry_after_sec = 0.0;
@@ -145,8 +146,7 @@ struct ServeStats {
 /// executor over a core::ServiceRegistry with a bounded admission queue
 /// (load shedding, not unbounded buffering), per-request deadlines, an
 /// optional ShardedResponseCache consulted at admission time (hits bypass
-/// the queue entirely), and per-worker-stripe latency histograms merged on
-/// read.
+/// the queue entirely), and a striped latency histogram merged on read.
 ///
 /// Results are delivered through a completion callback (`DoneFn`), which
 /// runs on a worker thread — or inline on the caller's thread for cache
@@ -232,10 +232,12 @@ class ServeLoop {
 
   ServeStats Stats() const;
 
-  /// Merged snapshot of per-stripe histograms: latency from admission to
-  /// completion of every ADMITTED request that produced a response (cache
-  /// hits included; shed and deadline-expired requests excluded).
-  LatencyHistogram Latencies() const;
+  /// Snapshot of the "serve.latency_sec" histogram: latency from admission
+  /// to the answer of every admitted request that was dispatched or served
+  /// from cache — OK responses, backend errors and breaker fast-fails
+  /// alike, so count() == completed + errors. Shed and deadline-expired
+  /// requests are not sampled.
+  obs::LatencyHistogram Latencies() const;
 
   /// Seconds since construction on the loop's monotonic clock.
   double NowSec() const;
@@ -243,11 +245,6 @@ class ServeLoop {
   const ServeConfig& config() const { return config_; }
 
  private:
-  struct HistogramStripe {
-    std::mutex mu;
-    LatencyHistogram histogram;
-  };
-
   struct MountHealth {
     enum class State { kClosed, kOpen, kHalfOpen };
     State state = State::kClosed;
@@ -277,7 +274,6 @@ class ServeLoop {
   /// Requires health_mu_. Opens the breaker and schedules the next probe
   /// window with seeded exponential backoff.
   void TripLocked(MountHealth& health, const std::string& prefix);
-  void RecordLatency(double seconds);
   double RetryAfterFor(int64_t consecutive_sheds) const;
   /// The configured tracer if it is currently enabled, else null — so hot
   /// paths pay one branch and never build strings while tracing is off.
@@ -292,51 +288,31 @@ class ServeLoop {
   ShardedResponseCache* cache_;
   std::chrono::steady_clock::time_point epoch_;
 
-  std::atomic<int64_t> offered_{0};
-  std::atomic<int64_t> admitted_{0};
-  std::atomic<int64_t> shed_{0};
-  std::atomic<int64_t> completed_{0};
-  std::atomic<int64_t> errors_{0};
-  std::atomic<int64_t> deadline_expired_{0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> consecutive_sheds_{0};
-  std::atomic<int64_t> hit_alloc_bytes_{0};
   std::atomic<double> last_retry_after_sec_{0.0};
 
-  std::vector<std::unique_ptr<HistogramStripe>> stripes_;
+  // The loop's one counter store (config_.metrics, or owned_metrics_) and
+  // handles into it, resolved once at construction.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* offered_ = nullptr;
+  obs::Counter* admitted_ = nullptr;
+  obs::Counter* shed_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* errors_ = nullptr;
+  obs::Counter* deadline_expired_ = nullptr;
+  obs::Counter* cache_hits_ = nullptr;
+  obs::Counter* cache_misses_ = nullptr;
+  obs::Gauge* hit_alloc_bytes_ = nullptr;
+  obs::StripedHistogram* latency_ = nullptr;
 
-  // Registry mirrors (null when config_.metrics is null).
-  struct RegistryCounters {
-    obs::Counter* offered = nullptr;
-    obs::Counter* admitted = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Counter* deadline_expired = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-  };
-  RegistryCounters reg_;
-  obs::StripedHistogram* reg_latency_ = nullptr;
-  obs::Gauge* reg_hit_alloc_ = nullptr;  // "serve.hit_alloc_bytes".
-
-  // Breaker state. Registry mirrors are resolved only when the breaker is
-  // enabled AND a registry is attached, so a disabled breaker leaves the
-  // metrics namespace exactly as before.
-  std::atomic<int64_t> breaker_opened_{0};
-  std::atomic<int64_t> breaker_closed_{0};
-  std::atomic<int64_t> breaker_probes_{0};
-  std::atomic<int64_t> failover_requests_{0};
-  std::atomic<int64_t> breaker_rejected_{0};
-  struct BreakerCounters {
-    obs::Counter* opened = nullptr;
-    obs::Counter* closed = nullptr;
-    obs::Counter* probes = nullptr;
-    obs::Counter* failover = nullptr;
-    obs::Counter* rejected = nullptr;
-  };
-  BreakerCounters breaker_reg_;
+  // Breaker state. Its counters are registered only when the breaker is
+  // enabled (null otherwise), so a disabled breaker adds no names to the
+  // registry.
+  obs::Counter* breaker_opened_ = nullptr;
+  obs::Counter* breaker_closed_ = nullptr;
+  obs::Counter* breaker_probes_ = nullptr;
+  obs::Counter* failover_requests_ = nullptr;
+  obs::Counter* breaker_rejected_ = nullptr;
   mutable std::mutex health_mu_;  // Guards the three members below.
   std::map<std::string, MountHealth> mount_health_;
   std::map<std::string, core::ServiceRegistry*> replicas_;
@@ -347,7 +323,7 @@ class ServeLoop {
   std::mutex global_backend_lock_;
 
   // Last member: destroyed first, so workers drain while everything else
-  // (stripes, counters, locks) is still alive.
+  // (counters, locks) is still alive.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -15,13 +15,6 @@ int64_t UsOf(double seconds) {
   return static_cast<int64_t>(std::llround(seconds * 1e6));
 }
 
-/// Registry-mirror bump: a no-op branch unless a registry was attached.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 }  // namespace
 
 HsmCache::HsmCache(sim::Simulation* simulation, DiskVolume* cache_disk,
@@ -30,22 +23,24 @@ HsmCache::HsmCache(sim::Simulation* simulation, DiskVolume* cache_disk,
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(cache_disk_ != nullptr);
   DFLOW_CHECK(tape_ != nullptr);
+  SetObserver(nullptr, nullptr);
 }
 
 void HsmCache::SetObserver(obs::Tracer* tracer,
                            obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.cache_hits = metrics_->GetCounter("hsm.cache_hits");
-    obs_.cache_misses = metrics_->GetCounter("hsm.cache_misses");
-    obs_.evictions = metrics_->GetCounter("hsm.evictions");
-    obs_.read_faults = metrics_->GetCounter("hsm.read_faults");
-    obs_.operator_repairs = metrics_->GetCounter("hsm.operator_repairs");
-    obs_.read_failures = metrics_->GetCounter("hsm.read_failures");
-  } else {
-    obs_ = ObsCounters{};
-  }
+  // The registry being left stays alive until every handle has carried
+  // its count over.
+  std::unique_ptr<obs::MetricsRegistry> previous = std::move(owned_metrics_);
+  obs::MetricsRegistry& registry =
+      obs::InjectedOrOwned(metrics, &owned_metrics_);
+  hits_ = registry.GetCounter("hsm.cache_hits", hits_);
+  misses_ = registry.GetCounter("hsm.cache_misses", misses_);
+  evictions_ = registry.GetCounter("hsm.evictions", evictions_);
+  read_faults_ = registry.GetCounter("hsm.read_faults", read_faults_);
+  operator_repairs_ =
+      registry.GetCounter("hsm.operator_repairs", operator_repairs_);
+  read_failures_ = registry.GetCounter("hsm.read_failures", read_failures_);
 }
 
 Status HsmCache::MakeRoom(int64_t bytes) {
@@ -84,8 +79,7 @@ void HsmCache::Evict(const std::string& file) {
   lru_.erase(it->second.lru_it);
   cache_entries_.erase(it);
   disk_contents_.erase(file);
-  ++evictions_;
-  Bump(obs_.evictions);
+  evictions_->Add(1);
 }
 
 Status HsmCache::Put(const std::string& file, int64_t bytes,
@@ -144,8 +138,7 @@ Status HsmCache::GetChecked(const std::string& file,
                             std::function<void(Result<int64_t>)> on_complete) {
   auto it = cache_entries_.find(file);
   if (it != cache_entries_.end()) {
-    ++hits_;
-    Bump(obs_.cache_hits);
+    hits_->Add(1);
     Touch(file);
     int64_t bytes = it->second.bytes;
     double access_time = cache_disk_->AccessTime(bytes);
@@ -166,8 +159,7 @@ Status HsmCache::GetChecked(const std::string& file,
   if (!tape_->Contains(file)) {
     return Status::NotFound("HSM: no file '" + file + "'");
   }
-  ++misses_;
-  Bump(obs_.cache_misses);
+  misses_->Add(1);
   DFLOW_ASSIGN_OR_RETURN(int64_t bytes, tape_->FileSize(file));
   DFLOW_RETURN_IF_ERROR(MakeRoom(bytes));
   InstallInCache(file, bytes);
@@ -224,8 +216,7 @@ Status HsmCache::GetContentChecked(
   auto it = cache_entries_.find(file);
   auto content_it = disk_contents_.find(file);
   if (it != cache_entries_.end() && content_it != disk_contents_.end()) {
-    ++hits_;
-    Bump(obs_.cache_hits);
+    hits_->Add(1);
     Touch(file);
     int64_t bytes = it->second.bytes;
     double access_time = cache_disk_->AccessTime(bytes);
@@ -246,8 +237,7 @@ Status HsmCache::GetContentChecked(
   if (!tape_->HasContent(file)) {
     return Status::NotFound("HSM: no content '" + file + "'");
   }
-  ++misses_;
-  Bump(obs_.cache_misses);
+  misses_->Add(1);
   DFLOW_ASSIGN_OR_RETURN(int64_t raw_bytes, tape_->RawContentSize(file));
   DFLOW_RETURN_IF_ERROR(MakeRoom(raw_bytes));
   InstallInCache(file, raw_bytes);
@@ -296,8 +286,7 @@ void HsmCache::RecallContentWithRetry(
           }
           return;
         }
-        ++read_faults_;
-        Bump(obs_.read_faults);
+        read_faults_->Add(1);
         if (obs::Tracer* tracer = ActiveTracer()) {
           tracer->InstantEvent("hsm.read_fault", "storage",
                                {{"file", file},
@@ -309,8 +298,7 @@ void HsmCache::RecallContentWithRetry(
         const bool retryable =
             content.status().code() == StatusCode::kIOError;
         if (!retryable || attempt + 1 >= fault_policy_.max_read_attempts) {
-          ++read_failures_;
-          Bump(obs_.read_failures);
+          read_failures_->Add(1);
           if (cb) {
             cb(std::move(content));
           }
@@ -322,8 +310,7 @@ void HsmCache::RecallContentWithRetry(
         simulation_->Schedule(
             fault_policy_.operator_repair_seconds,
             [this, file, attempt, cb = std::move(cb)]() mutable {
-              ++operator_repairs_;
-              Bump(obs_.operator_repairs);
+              operator_repairs_->Add(1);
               if (obs::Tracer* tracer = ActiveTracer()) {
                 tracer->InstantEvent("hsm.operator_repair", "storage",
                                      {{"file", file}});
@@ -347,16 +334,14 @@ void HsmCache::RecallWithRetry(
           }
           return;
         }
-        ++read_faults_;
-        Bump(obs_.read_faults);
+        read_faults_->Add(1);
         if (obs::Tracer* tracer = ActiveTracer()) {
           tracer->InstantEvent("hsm.read_fault", "storage",
                                {{"file", file},
                                 {"attempt", std::to_string(attempt)}});
         }
         if (attempt + 1 >= fault_policy_.max_read_attempts) {
-          ++read_failures_;
-          Bump(obs_.read_failures);
+          read_failures_->Add(1);
           if (cb) {
             cb(std::move(bytes));
           }
@@ -369,8 +354,7 @@ void HsmCache::RecallWithRetry(
         simulation_->Schedule(
             fault_policy_.operator_repair_seconds,
             [this, file, attempt, cb = std::move(cb)]() mutable {
-              ++operator_repairs_;
-              Bump(obs_.operator_repairs);
+              operator_repairs_->Add(1);
               if (obs::Tracer* tracer = ActiveTracer()) {
                 tracer->InstantEvent("hsm.operator_repair", "storage",
                                      {{"file", file}});

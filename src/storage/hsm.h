@@ -5,6 +5,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.h"
@@ -78,17 +79,18 @@ class HsmCache {
   /// Attaches observability hooks (borrowed; either may be null). With a
   /// tracer, cache reads, tape recalls (spanning every bad-block retry),
   /// and archive puts emit virtual-time spans; operator repairs emit
-  /// instants. With a registry, the cache/fault counters are mirrored
-  /// under "hsm.cache_hits", ".cache_misses", ".evictions",
-  /// ".read_faults", ".operator_repairs", ".read_failures".
+  /// instants. The cache/fault counters move into `metrics` (null: a
+  /// private registry), counts so far carried over, under
+  /// "hsm.cache_hits", ".cache_misses", ".evictions", ".read_faults",
+  /// ".operator_repairs", ".read_failures"; the accessors read them.
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// Tape recalls that failed on a bad block (before retry).
-  int64_t read_faults() const { return read_faults_; }
+  int64_t read_faults() const { return read_faults_->Value(); }
   /// Operator interventions performed (bad-block repairs).
-  int64_t operator_repairs() const { return operator_repairs_; }
+  int64_t operator_repairs() const { return operator_repairs_->Value(); }
   /// Recalls abandoned after exhausting the fault policy.
-  int64_t read_failures() const { return read_failures_; }
+  int64_t read_failures() const { return read_failures_->Value(); }
 
   /// Drops a file from the disk cache (it remains on tape).
   void Evict(const std::string& file);
@@ -97,15 +99,15 @@ class HsmCache {
     return cache_entries_.count(file) > 0;
   }
 
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  int64_t hits() const { return hits_->Value(); }
+  int64_t misses() const { return misses_->Value(); }
   double HitRate() const {
-    int64_t total = hits_ + misses_;
+    int64_t total = hits() + misses();
     return total == 0 ? 0.0
-                      : static_cast<double>(hits_) /
+                      : static_cast<double>(hits()) /
                             static_cast<double>(total);
   }
-  int64_t evictions() const { return evictions_; }
+  int64_t evictions() const { return evictions_->Value(); }
 
  private:
   /// Frees cache space for `bytes`, evicting least-recently-used files.
@@ -132,31 +134,22 @@ class HsmCache {
   /// Raw bytes of content-bearing cached files (subset of cache_entries_).
   std::map<std::string, std::string> disk_contents_;
 
-  // Observability (both null until SetObserver): counter handles are
-  // resolved once, bumps are one null-check when no registry is attached.
+  // Observability: the tracer (null until SetObserver), the one counter
+  // store, and handles into it, resolved once per SetObserver.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* read_faults = nullptr;
-    obs::Counter* operator_repairs = nullptr;
-    obs::Counter* read_failures = nullptr;
-  };
-  ObsCounters obs_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* read_faults_ = nullptr;
+  obs::Counter* operator_repairs_ = nullptr;
+  obs::Counter* read_failures_ = nullptr;
   /// The configured tracer if currently enabled, else null.
   obs::Tracer* ActiveTracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
   }
 
   HsmFaultPolicy fault_policy_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t evictions_ = 0;
-  int64_t read_faults_ = 0;
-  int64_t operator_repairs_ = 0;
-  int64_t read_failures_ = 0;
 };
 
 }  // namespace dflow::storage

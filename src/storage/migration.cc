@@ -13,13 +13,6 @@ int64_t UsOf(double seconds) {
   return static_cast<int64_t>(std::llround(seconds * 1e6));
 }
 
-/// Registry-mirror bump: a no-op branch unless a registry was attached.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 }  // namespace
 
 MediaMigration::MediaMigration(sim::Simulation* simulation,
@@ -32,21 +25,35 @@ MediaMigration::MediaMigration(sim::Simulation* simulation,
   DFLOW_CHECK(source_ != nullptr);
   DFLOW_CHECK(destination_ != nullptr);
   DFLOW_CHECK(config_.parallel_streams > 0);
+  SetObserver(nullptr, nullptr);
 }
 
 void MediaMigration::SetObserver(obs::Tracer* tracer,
                                  obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.files_migrated = metrics_->GetCounter("migration.files_migrated");
-    obs_.files_lost = metrics_->GetCounter("migration.files_lost");
-    obs_.retries = metrics_->GetCounter("migration.retries");
-    obs_.bad_block_repairs =
-        metrics_->GetCounter("migration.bad_block_repairs");
-  } else {
-    obs_ = ObsCounters{};
-  }
+  // The registry being left stays alive until every handle has carried
+  // its count over.
+  std::unique_ptr<obs::MetricsRegistry> previous = std::move(owned_metrics_);
+  obs::MetricsRegistry& registry =
+      obs::InjectedOrOwned(metrics, &owned_metrics_);
+  files_migrated_ =
+      registry.GetCounter("migration.files_migrated", files_migrated_);
+  files_lost_ = registry.GetCounter("migration.files_lost", files_lost_);
+  retries_ = registry.GetCounter("migration.retries", retries_);
+  bad_block_repairs_ =
+      registry.GetCounter("migration.bad_block_repairs", bad_block_repairs_);
+}
+
+MigrationReport MediaMigration::report() const {
+  MigrationReport report;
+  report.files_total = static_cast<int64_t>(pending_.size());
+  report.files_migrated = files_migrated_->Value();
+  report.files_lost = files_lost_->Value();
+  report.bytes_migrated = bytes_migrated_;
+  report.retries = retries_->Value();
+  report.bad_block_repairs = bad_block_repairs_->Value();
+  report.virtual_seconds = virtual_seconds_;
+  return report;
 }
 
 Status MediaMigration::Run(
@@ -57,12 +64,10 @@ Status MediaMigration::Run(
   started_ = true;
   on_complete_ = std::move(on_complete);
   pending_ = source_->FileNames();
-  report_.files_total = static_cast<int64_t>(pending_.size());
   start_time_ = simulation_->Now();
   if (pending_.empty()) {
-    report_.virtual_seconds = 0.0;
     if (on_complete_) {
-      simulation_->Schedule(0.0, [this] { on_complete_(report_); });
+      simulation_->Schedule(0.0, [this] { on_complete_(report()); });
     }
     return Status::OK();
   }
@@ -75,11 +80,11 @@ Status MediaMigration::Run(
 void MediaMigration::PumpNext() {
   if (next_ >= pending_.size()) {
     if (in_flight_ == 0) {
-      report_.virtual_seconds = simulation_->Now() - start_time_;
+      virtual_seconds_ = simulation_->Now() - start_time_;
       if (on_complete_) {
         auto done = std::move(on_complete_);
         on_complete_ = nullptr;
-        done(report_);
+        done(report());
       }
     }
     return;
@@ -91,13 +96,7 @@ void MediaMigration::PumpNext() {
 
 void MediaMigration::FinishFile(const std::string& file, int attempt,
                                 double start_sec, bool migrated) {
-  if (migrated) {
-    ++report_.files_migrated;
-    Bump(obs_.files_migrated);
-  } else {
-    ++report_.files_lost;
-    Bump(obs_.files_lost);
-  }
+  (migrated ? files_migrated_ : files_lost_)->Add(1);
   if (obs::Tracer* tracer = ActiveTracer()) {
     double end_sec = simulation_->Now();
     tracer->CompleteEvent("migrate_file", "storage", UsOf(start_sec),
@@ -123,10 +122,8 @@ void MediaMigration::MigrateOne(const std::string& file, int attempt,
         FinishFile(file, attempt, start_sec, /*migrated=*/false);
         return;
       }
-      ++report_.retries;
-      Bump(obs_.retries);
-      ++report_.bad_block_repairs;
-      Bump(obs_.bad_block_repairs);
+      retries_->Add(1);
+      bad_block_repairs_->Add(1);
       simulation_->Schedule(config_.bad_block_repair_seconds,
                             [this, file, attempt, start_sec] {
                               if (obs::Tracer* tracer = ActiveTracer()) {
@@ -148,8 +145,7 @@ void MediaMigration::MigrateOne(const std::string& file, int attempt,
         FinishFile(file, attempt, start_sec, /*migrated=*/false);
         return;
       }
-      ++report_.retries;
-      Bump(obs_.retries);
+      retries_->Add(1);
       MigrateOne(file, attempt + 1, start_sec);
       return;
     }
@@ -183,7 +179,7 @@ void MediaMigration::MigrateOne(const std::string& file, int attempt,
       FinishFile(file, attempt, start_sec, /*migrated=*/false);
       return;
     }
-    report_.bytes_migrated += bytes;
+    bytes_migrated_ += bytes;
   });
   if (!read.ok()) {
     DFLOW_LOG(Error) << "migration read failed: " << read.ToString();

@@ -2,6 +2,7 @@
 #define DFLOW_STORAGE_MIGRATION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,13 +61,14 @@ class MediaMigration {
 
   /// Attaches observability hooks (borrowed; either may be null). With a
   /// tracer, every file migration emits one virtual-time span (covering
-  /// all of its retries) plus instants for bad-block repairs. With a
-  /// registry, report counters are mirrored under
-  /// "migration.files_migrated", ".files_lost", ".retries",
-  /// ".bad_block_repairs". Attach before Run().
+  /// all of its retries) plus instants for bad-block repairs. The report
+  /// counters move into `metrics` (null: a private registry), counts so
+  /// far carried over, under "migration.files_migrated", ".files_lost",
+  /// ".retries", ".bad_block_repairs".
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  const MigrationReport& report() const { return report_; }
+  /// The report so far; its counts are read from the registry.
+  MigrationReport report() const;
 
  private:
   void PumpNext();
@@ -90,19 +92,18 @@ class MediaMigration {
   int in_flight_ = 0;
   bool started_ = false;
   double start_time_ = 0.0;
-  MigrationReport report_;
+  int64_t bytes_migrated_ = 0;
+  double virtual_seconds_ = 0.0;
   std::function<void(const MigrationReport&)> on_complete_;
 
-  // Observability (both null until SetObserver).
+  // Observability: the tracer (null until SetObserver), the one counter
+  // store, and handles into it, resolved once per SetObserver.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
-    obs::Counter* files_migrated = nullptr;
-    obs::Counter* files_lost = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* bad_block_repairs = nullptr;
-  };
-  ObsCounters obs_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* files_migrated_ = nullptr;
+  obs::Counter* files_lost_ = nullptr;
+  obs::Counter* retries_ = nullptr;
+  obs::Counter* bad_block_repairs_ = nullptr;
 };
 
 }  // namespace dflow::storage

@@ -1,17 +1,20 @@
 // The observability substrate (src/obs): the metrics registry, the
 // structured tracer with its Chrome trace_event export, and the threading
-// of both through core::FlowRunner, serve::ServeLoop, storage (HSM +
-// media migration), and net (transfer scheduler).
+// of both through core::FlowRunner, serve::ServeLoop, cluster::Cluster,
+// db::BufferPool, storage (HSM + media migration), net (transfer
+// scheduler), and recover::Scrubber.
 //
 // The headline tests use determinism as the oracle: a same-seed run must
 // export a byte-identical trace JSON (fingerprinted with MD5, like
 // WorkloadGen::Fingerprint), and the registry counters must agree exactly
-// with each subsystem's own accounting. The `stress` portion hammers one
-// registry and one tracer from >= 8 threads and is meant to run under
-// ASan/TSan.
+// with each subsystem's accessors, which read that one store. The
+// `stress` portion hammers one registry and one tracer from >= 8 threads
+// and is meant to run under ASan/TSan.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,14 +22,17 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
 #include "core/flow_graph.h"
 #include "core/flow_runner.h"
 #include "core/stage.h"
 #include "core/web_service.h"
+#include "db/database.h"
 #include "net/network_link.h"
 #include "net/transfer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "recover/scrubber.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
 #include "serve/workload_gen.h"
@@ -471,7 +477,7 @@ TEST(ServeLoopObsTest, RegistryMirrorsStatsAndCacheTotals) {
   EXPECT_EQ(metrics.CounterValue("serve.cache_hits"), totals.hits);
   EXPECT_EQ(metrics.CounterValue("serve.cache_misses"), totals.misses);
   // Every completed request left one latency sample in the registry
-  // histogram, matching the loop's own striped histograms.
+  // histogram, the one Latencies() reads.
   EXPECT_EQ(metrics.GetHistogram("serve.latency_sec")->Snapshot().count(),
             stats.completed);
   EXPECT_EQ(loop.Latencies().count(), stats.completed);
@@ -611,6 +617,383 @@ TEST(NetObsTest, TransferSpansAndCounters) {
   EXPECT_NE(trace.find("net.transfer"), std::string::npos);
   EXPECT_NE(trace.find("net.retransmit"), std::string::npos);
   EXPECT_NE(trace.find("\"outcome\":\"delivered\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One counter store: each instrumented class keeps its counts only in an
+// obs::MetricsRegistry (the attached one, else its own) and its accessors
+// read them back from there.
+
+/// A class's accessors, keyed by the registry counter each one reads.
+using Reads = std::map<std::string, int64_t>;
+
+struct CounterStoreCase {
+  std::string name;
+  /// Everything an attached registry receives — counters, then gauges,
+  /// then histograms, each sorted — as the classes registered them before
+  /// the single store (the scenario fingerprints hash these names).
+  std::vector<std::string> names;
+  /// Two rounds of work. Between them `registry` (if non-null) is
+  /// attached; a class that only takes a registry at construction gets it
+  /// there. Fills the reads taken after each round.
+  std::function<void(obs::MetricsRegistry* registry, Reads* first,
+                     Reads* second)>
+      run;
+};
+
+std::vector<std::string> RegisteredNames(const obs::MetricsRegistry& m) {
+  std::vector<std::string> names = m.CounterNames();
+  for (const auto& list : {m.GaugeNames(), m.HistogramNames()}) {
+    names.insert(names.end(), list.begin(), list.end());
+  }
+  return names;
+}
+
+core::ServiceRequest EchoRequest(const std::string& path,
+                                 const std::string& x = "") {
+  core::ServiceRequest request;
+  request.path = path;
+  if (!x.empty()) {
+    request.params["x"] = x;
+  }
+  return request;
+}
+
+Reads ServeReads(const serve::ServeLoop& loop) {
+  serve::ServeStats s = loop.Stats();
+  Reads reads = {{"serve.offered", s.offered},
+                 {"serve.admitted", s.admitted},
+                 {"serve.shed", s.shed},
+                 {"serve.completed", s.completed},
+                 {"serve.errors", s.errors},
+                 {"serve.deadline_expired", s.deadline_expired},
+                 {"serve.cache_hits", s.cache_hits},
+                 {"serve.cache_misses", s.cache_misses}};
+  if (loop.config().breaker.enabled) {
+    reads["serve.breaker_opened"] = s.breaker_opened;
+    reads["serve.breaker_closed"] = s.breaker_closed;
+    reads["serve.breaker_probes"] = s.breaker_probes;
+    reads["serve.failover"] = s.failover_requests;
+    reads["serve.breaker_rejected"] = s.breaker_rejected;
+  }
+  return reads;
+}
+
+/// Hits, a miss and backend errors; with the breaker on, the first error
+/// trips the "nowhere" mount open and the second is failed fast.
+void RunServe(bool breaker, obs::MetricsRegistry* registry, Reads* first,
+              Reads* second) {
+  core::ServiceRegistry services;
+  ASSERT_TRUE(services.Mount("svc", std::make_shared<EchoService>()).ok());
+  serve::ShardedResponseCache cache(serve::CacheConfig{2, 1 << 20, 0.0});
+  serve::ServeConfig config;
+  config.num_workers = 1;
+  config.metrics = registry;
+  config.breaker.enabled = breaker;
+  config.breaker.failure_threshold = 1;
+  config.breaker.open_sec = 600.0;
+  config.breaker.open_max_sec = 600.0;
+  serve::ServeLoop loop(&services, config, &cache);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(loop.Execute(EchoRequest("svc/echo", "a")).ok());
+  }
+  *first = ServeReads(loop);
+  EXPECT_FALSE(loop.Execute(EchoRequest("nowhere")).ok());
+  EXPECT_FALSE(loop.Execute(EchoRequest("nowhere")).ok());
+  loop.Drain();
+  *second = ServeReads(loop);
+}
+
+std::vector<CounterStoreCase> CounterStoreCases() {
+  std::vector<std::string> serve_names = {
+      "serve.admitted",   "serve.cache_hits", "serve.cache_misses",
+      "serve.completed",  "serve.deadline_expired", "serve.errors",
+      "serve.offered",    "serve.shed",       "serve.hit_alloc_bytes",
+      "simd.dispatch",    "serve.latency_sec"};
+  std::vector<std::string> breaker_names = {
+      "serve.admitted",         "serve.breaker_closed",
+      "serve.breaker_opened",   "serve.breaker_probes",
+      "serve.breaker_rejected", "serve.cache_hits",
+      "serve.cache_misses",     "serve.completed",
+      "serve.deadline_expired", "serve.errors",
+      "serve.failover",         "serve.offered",
+      "serve.shed",             "serve.hit_alloc_bytes",
+      "simd.dispatch",          "serve.latency_sec"};
+  std::vector<CounterStoreCase> cases;
+  cases.push_back({"ServeLoop", serve_names,
+                   [](obs::MetricsRegistry* r, Reads* a, Reads* b) {
+                     RunServe(false, r, a, b);
+                   }});
+  cases.push_back({"ServeLoop+breaker", breaker_names,
+                   [](obs::MetricsRegistry* r, Reads* a, Reads* b) {
+                     RunServe(true, r, a, b);
+                   }});
+
+  cases.push_back(
+      {"Cluster",
+       {"cluster.catchup_shards", "cluster.dual_writes", "cluster.failed",
+        "cluster.forward_drops", "cluster.forwarded", "cluster.get_failures",
+        "cluster.hints_drained", "cluster.hints_stored",
+        "cluster.journal_replayed", "cluster.kills", "cluster.local",
+        "cluster.partition_transitions", "cluster.put_failures",
+        "cluster.read_repairs", "cluster.rebalance_moves", "cluster.rejoins",
+        "cluster.replica_writes", "cluster.requests", "cluster.reroutes",
+        "cluster.writes"},
+       [](obs::MetricsRegistry* registry, Reads* first, Reads* second) {
+         cluster::ClusterConfig config;
+         config.num_nodes = 3;
+         config.metrics = registry;
+         auto created = cluster::Cluster::Create(
+             config, [](int, core::ServiceRegistry* services) {
+               return services->Mount("svc", std::make_shared<EchoService>());
+             });
+         ASSERT_TRUE(created.ok());
+         cluster::Cluster& cluster = **created;
+         auto reads = [&cluster] {
+           cluster::ClusterStats s = cluster.Stats();
+           return Reads{{"cluster.requests", s.requests},
+                        {"cluster.local", s.local},
+                        {"cluster.forwarded", s.forwarded},
+                        {"cluster.reroutes", s.reroutes},
+                        {"cluster.failed", s.failed},
+                        {"cluster.writes", s.writes},
+                        {"cluster.replica_writes", s.replica_writes},
+                        {"cluster.kills", s.kills},
+                        {"cluster.rejoins", s.rejoins}};
+         };
+         for (int i = 0; i < 6; ++i) {
+           EXPECT_TRUE(
+               cluster.Execute(EchoRequest("svc/echo", std::to_string(i)))
+                   .ok());
+           EXPECT_TRUE(cluster.Put("k" + std::to_string(i), "v").ok());
+         }
+         *first = reads();
+         EXPECT_TRUE(cluster.KillNode("node1").ok());
+         for (int i = 0; i < 6; ++i) {
+           EXPECT_TRUE(
+               cluster.Execute(EchoRequest("svc/echo", std::to_string(i)))
+                   .ok());
+         }
+         EXPECT_TRUE(cluster.RejoinNode("node1").ok());
+         *second = reads();
+       }});
+
+  cases.push_back(
+      {"BufferPool",
+       {"db.pool.allocations", "db.pool.evictions", "db.pool.frees",
+        "db.pool.hits", "db.pool.misses", "db.pool.writebacks"},
+       [](obs::MetricsRegistry* registry, Reads* first, Reads* second) {
+         db::DatabaseOptions options;
+         options.pool_frames = 2;
+         db::Database db(options);
+         auto reads = [&db] {
+           db::BufferPool::Stats s = db.pool()->stats();
+           return Reads{{"db.pool.hits", s.hits},
+                        {"db.pool.misses", s.misses},
+                        {"db.pool.evictions", s.evictions},
+                        {"db.pool.writebacks", s.writebacks},
+                        {"db.pool.allocations", s.allocations},
+                        {"db.pool.frees", s.frees}};
+         };
+         ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT, pad TEXT)").ok());
+         for (int i = 0; i < 60; ++i) {
+           ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (" +
+                                  std::to_string(i) + ", '" +
+                                  std::string(300, 'p') + "')")
+                           .ok());
+         }
+         *first = reads();
+         if (registry != nullptr) {
+           db.SetMetricsRegistry(registry);
+         }
+         ASSERT_TRUE(db.Execute("SELECT COUNT(*) FROM t").ok());
+         // Dropping frees every page now, so none is counted later, while
+         // the database is destroyed.
+         ASSERT_TRUE(db.Execute("DROP TABLE t").ok());
+         *second = reads();
+       }});
+
+  cases.push_back(
+      {"HsmCache",
+       {"hsm.cache_hits", "hsm.cache_misses", "hsm.evictions",
+        "hsm.operator_repairs", "hsm.read_failures", "hsm.read_faults"},
+       [](obs::MetricsRegistry* registry, Reads* first, Reads* second) {
+         sim::Simulation simulation;
+         storage::DiskVolume disk("cache", 100 * kGB, 400.0e6, 0.005);
+         storage::TapeLibrary tape(&simulation, "tape",
+                                   storage::TapeLibraryConfig{});
+         storage::HsmCache hsm(&simulation, &disk, &tape);
+         auto reads = [&hsm] {
+           return Reads{{"hsm.cache_hits", hsm.hits()},
+                        {"hsm.cache_misses", hsm.misses()},
+                        {"hsm.evictions", hsm.evictions()},
+                        {"hsm.read_faults", hsm.read_faults()},
+                        {"hsm.operator_repairs", hsm.operator_repairs()},
+                        {"hsm.read_failures", hsm.read_failures()}};
+         };
+         ASSERT_TRUE(hsm.Put("run1", 10 * kGB, nullptr).ok());
+         simulation.Run();
+         ASSERT_TRUE(hsm.Get("run1", nullptr).ok());
+         simulation.Run();
+         *first = reads();
+         if (registry != nullptr) {
+           hsm.SetObserver(nullptr, registry);
+         }
+         hsm.Evict("run1");
+         tape.MarkBadBlock("run1");
+         ASSERT_TRUE(hsm.Get("run1", nullptr).ok());
+         simulation.Run();
+         *second = reads();
+       }});
+
+  cases.push_back(
+      {"MediaMigration",
+       {"migration.bad_block_repairs", "migration.files_lost",
+        "migration.files_migrated", "migration.retries"},
+       [](obs::MetricsRegistry* registry, Reads* first, Reads* second) {
+         sim::Simulation simulation;
+         storage::TapeLibrary source(&simulation, "old",
+                                     storage::TapeLibraryConfig{});
+         storage::TapeLibrary destination(&simulation, "new",
+                                          storage::TapeLibraryConfig{});
+         for (int i = 0; i < 3; ++i) {
+           ASSERT_TRUE(
+               source.Write("f" + std::to_string(i), kGB, nullptr).ok());
+         }
+         simulation.Run();
+         source.MarkBadBlock("f1");
+         storage::MediaMigration migration(&simulation, &source,
+                                           &destination,
+                                           storage::MigrationConfig{});
+         auto reads = [&migration] {
+           storage::MigrationReport r = migration.report();
+           return Reads{{"migration.files_migrated", r.files_migrated},
+                        {"migration.files_lost", r.files_lost},
+                        {"migration.retries", r.retries},
+                        {"migration.bad_block_repairs", r.bad_block_repairs}};
+         };
+         ASSERT_TRUE(migration.Run(nullptr).ok());
+         // Stop once the bad block has cost a retry; attach mid-migration.
+         while (migration.report().retries == 0 && simulation.Step()) {
+         }
+         *first = reads();
+         if (registry != nullptr) {
+           migration.SetObserver(nullptr, registry);
+         }
+         simulation.Run();
+         *second = reads();
+       }});
+
+  cases.push_back(
+      {"TransferScheduler",
+       {"net.transfer.delivered", "net.transfer.failures",
+        "net.transfer.retries"},
+       [](obs::MetricsRegistry* registry, Reads* first, Reads* second) {
+         sim::Simulation simulation;
+         net::NetworkLink link(&simulation, "link", net::NetworkLinkConfig{});
+         link.InjectCorruptNext(1);
+         net::TransferScheduler scheduler(&simulation, &link,
+                                          /*max_retries=*/3);
+         auto reads = [&scheduler] {
+           return Reads{{"net.transfer.retries", scheduler.retries()},
+                        {"net.transfer.failures", scheduler.failures()}};
+         };
+         std::vector<net::TransferItem> items;
+         items.push_back(net::MakePayloadItem("a.arc", "payload-a", kGB));
+         items.push_back(net::MakePayloadItem("b.arc", "payload-b", kGB));
+         ASSERT_TRUE(scheduler.SendAll(items, nullptr).ok());
+         while (scheduler.retries() == 0 && simulation.Step()) {
+         }
+         *first = reads();
+         if (registry != nullptr) {
+           scheduler.SetObserver(nullptr, registry);
+         }
+         simulation.Run();
+         *second = reads();
+       }});
+
+  cases.push_back(
+      {"Scrubber",
+       {"scrub.already_repaired", "scrub.bad_blocks_found",
+        "scrub.files_scanned", "scrub.passes", "scrub.repairs_local",
+        "scrub.restored_from_replica", "scrub.silent_corruption_found",
+        "scrub.tickets_deduped", "scrub.tickets_filed",
+        "scrub.unrecoverable"},
+       [](obs::MetricsRegistry* registry, Reads* first, Reads* second) {
+         sim::Simulation simulation;
+         storage::TapeLibrary primary(&simulation, "primary",
+                                      storage::TapeLibraryConfig{});
+         storage::TapeLibrary replica(&simulation, "replica",
+                                      storage::TapeLibraryConfig{});
+         for (int i = 0; i < 4; ++i) {
+           const std::string file = "f" + std::to_string(i);
+           ASSERT_TRUE(primary.Write(file, kGB, nullptr).ok());
+           ASSERT_TRUE(replica.Write(file, kGB, nullptr).ok());
+         }
+         simulation.Run();
+         primary.MarkBadBlock("f1");
+         primary.CorruptSilently("f2");
+         recover::ScrubberConfig config;
+         config.files_per_cycle = 2;
+         config.passes = 2;
+         recover::Scrubber scrubber(&simulation, &primary, &replica, config);
+         auto reads = [&scrubber] {
+           return Reads{
+               {"scrub.files_scanned", scrubber.files_scanned()},
+               {"scrub.bad_blocks_found", scrubber.bad_blocks_found()},
+               {"scrub.silent_corruption_found",
+                scrubber.silent_corruption_found()},
+               {"scrub.tickets_filed", scrubber.tickets_filed()},
+               {"scrub.tickets_deduped", scrubber.tickets_deduped()},
+               {"scrub.repairs_local", scrubber.repairs_local()},
+               {"scrub.restored_from_replica",
+                scrubber.restored_from_replica()},
+               {"scrub.already_repaired", scrubber.already_repaired()},
+               {"scrub.unrecoverable", scrubber.unrecoverable()},
+               {"scrub.passes", scrubber.passes_completed()}};
+         };
+         ASSERT_TRUE(scrubber.Start().ok());
+         while (scrubber.tickets_filed() == 0 && simulation.Step()) {
+         }
+         *first = reads();
+         if (registry != nullptr) {
+           scrubber.SetObserver(nullptr, registry);
+         }
+         simulation.Run();
+         *second = reads();
+       }});
+  return cases;
+}
+
+TEST(CounterStoreTest, EveryClassCountsIntoOneRegistry) {
+  for (const CounterStoreCase& c : CounterStoreCases()) {
+    SCOPED_TRACE(c.name);
+    // With no registry attached, the accessors still count.
+    Reads alone_first;
+    Reads alone;
+    c.run(nullptr, &alone_first, &alone);
+    int64_t counted = 0;
+    for (const auto& [counter, value] : alone) {
+      counted += value;
+    }
+    EXPECT_GT(counted, 0);
+
+    // Attaching (after the first round, where the class allows it)
+    // changes no accessor, lowers none, and leaves the registry holding
+    // every count — including those made before it was attached.
+    obs::MetricsRegistry registry;
+    Reads first;
+    Reads second;
+    c.run(&registry, &first, &second);
+    EXPECT_EQ(second, alone);
+    for (const auto& [counter, value] : second) {
+      EXPECT_GE(value, first.at(counter)) << counter;
+      EXPECT_EQ(registry.CounterValue(counter), value) << counter;
+    }
+
+    // The attached registry receives exactly the names it always did.
+    EXPECT_EQ(RegisteredNames(registry), c.names);
+  }
 }
 
 // ---------------------------------------------------------------------------

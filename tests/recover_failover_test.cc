@@ -118,6 +118,10 @@ TEST(ServeFailoverTest, TripsOpenAndFailsFastWithoutReplica) {
   ServeStats stats = loop.Stats();
   EXPECT_EQ(stats.breaker_opened, 1);
   EXPECT_EQ(stats.breaker_rejected, 5);
+  // Backend errors and breaker fast-fails are answers too: every one is a
+  // latency sample, so the histogram counts completed + errors.
+  EXPECT_EQ(stats.errors, 8);
+  EXPECT_EQ(loop.Latencies().count(), stats.completed + stats.errors);
   auto health = loop.HealthSnapshot();
   ASSERT_EQ(health.size(), 1u);
   EXPECT_EQ(health[0].prefix, "svc");

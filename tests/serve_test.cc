@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/web_service.h"
-#include "serve/latency_histogram.h"
+#include "obs/latency_histogram.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
 #include "serve/workload_gen.h"
@@ -26,9 +26,9 @@ namespace {
 
 using core::ServiceRequest;
 using core::ServiceResponse;
+using obs::LatencyHistogram;
 using serve::CacheConfig;
 using serve::CacheStats;
-using serve::LatencyHistogram;
 using serve::ServeConfig;
 using serve::ServeLoop;
 using serve::ShardedResponseCache;
@@ -190,18 +190,18 @@ TEST(ResponseCacheTest, CanonicalKeyIsOrderInsensitiveAndUnambiguous) {
             ShardedResponseCache::CanonicalKey(Req("svc/echo", {{"a", ""}})));
 }
 
-ServiceResponse Body(const std::string& body) {
+serve::ResponsePtr Body(const std::string& body) {
   ServiceResponse r;
   r.body = body;
-  return r;
+  return std::make_shared<const ServiceResponse>(std::move(r));
 }
 
 TEST(ResponseCacheTest, HitMissAndCounters) {
   ShardedResponseCache cache(CacheConfig{4, 1 << 20, 0.0});
-  EXPECT_FALSE(cache.Lookup("k1", 0.0).has_value());
-  cache.Insert("k1", Body("v1"), 0.0);
-  auto hit = cache.Lookup("k1", 1.0);
-  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(cache.LookupShared("k1", 0.0), nullptr);
+  cache.InsertShared("k1", Body("v1"), 0.0);
+  auto hit = cache.LookupShared("k1", 1.0);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->body, "v1");
   CacheStats stats = cache.Totals();
   EXPECT_EQ(stats.hits, 1);
@@ -216,53 +216,53 @@ TEST(ResponseCacheTest, LruEvictionRespectsRecency) {
   // Single shard so recency order is total; capacity fits ~3 entries
   // (76B each: 64B overhead + 1B key + 1B body + 10B content type).
   ShardedResponseCache cache(CacheConfig{1, 240, 0.0});
-  cache.Insert("a", Body("1"), 0.0);
-  cache.Insert("b", Body("2"), 0.0);
-  cache.Insert("c", Body("3"), 0.0);
+  cache.InsertShared("a", Body("1"), 0.0);
+  cache.InsertShared("b", Body("2"), 0.0);
+  cache.InsertShared("c", Body("3"), 0.0);
   EXPECT_EQ(cache.Totals().entries, 3u);
   // Touch "a" so "b" is now the LRU victim.
-  EXPECT_TRUE(cache.Lookup("a", 1.0).has_value());
-  cache.Insert("d", Body("4"), 1.0);
-  EXPECT_TRUE(cache.Lookup("a", 2.0).has_value());
-  EXPECT_FALSE(cache.Lookup("b", 2.0).has_value());  // Evicted.
-  EXPECT_TRUE(cache.Lookup("c", 2.0).has_value());
-  EXPECT_TRUE(cache.Lookup("d", 2.0).has_value());
+  EXPECT_NE(cache.LookupShared("a", 1.0), nullptr);
+  cache.InsertShared("d", Body("4"), 1.0);
+  EXPECT_NE(cache.LookupShared("a", 2.0), nullptr);
+  EXPECT_EQ(cache.LookupShared("b", 2.0), nullptr);  // Evicted.
+  EXPECT_NE(cache.LookupShared("c", 2.0), nullptr);
+  EXPECT_NE(cache.LookupShared("d", 2.0), nullptr);
   EXPECT_GE(cache.Totals().evictions, 1);
   EXPECT_LE(cache.Totals().bytes, 240u);
 }
 
 TEST(ResponseCacheTest, TtlExpiry) {
   ShardedResponseCache cache(CacheConfig{2, 1 << 20, 10.0});
-  cache.Insert("k", Body("v"), 100.0);  // Default TTL 10s.
-  EXPECT_TRUE(cache.Lookup("k", 105.0).has_value());
-  EXPECT_FALSE(cache.Lookup("k", 110.0).has_value());  // Expired at 110.
+  cache.InsertShared("k", Body("v"), 100.0);  // Default TTL 10s.
+  EXPECT_NE(cache.LookupShared("k", 105.0), nullptr);
+  EXPECT_EQ(cache.LookupShared("k", 110.0), nullptr);  // Expired at 110.
   EXPECT_EQ(cache.Totals().expirations, 1);
   EXPECT_EQ(cache.Totals().entries, 0u);
 
   // Per-insert TTL tightens the default.
-  cache.Insert("k2", Body("v"), 100.0, 2.0);
-  EXPECT_TRUE(cache.Lookup("k2", 101.0).has_value());
-  EXPECT_FALSE(cache.Lookup("k2", 102.5).has_value());
+  cache.InsertShared("k2", Body("v"), 100.0, 2.0);
+  EXPECT_NE(cache.LookupShared("k2", 101.0), nullptr);
+  EXPECT_EQ(cache.LookupShared("k2", 102.5), nullptr);
 
   // With no default TTL, entries never expire.
   ShardedResponseCache forever(CacheConfig{2, 1 << 20, 0.0});
-  forever.Insert("k", Body("v"), 0.0);
-  EXPECT_TRUE(forever.Lookup("k", 1e12).has_value());
+  forever.InsertShared("k", Body("v"), 0.0);
+  EXPECT_NE(forever.LookupShared("k", 1e12), nullptr);
 }
 
 TEST(ResponseCacheTest, ReplaceAndEraseAndOversize) {
   ShardedResponseCache cache(CacheConfig{2, 4096, 0.0});
-  cache.Insert("k", Body("old"), 0.0);
-  cache.Insert("k", Body("new"), 0.0);
+  cache.InsertShared("k", Body("old"), 0.0);
+  cache.InsertShared("k", Body("new"), 0.0);
   EXPECT_EQ(cache.Totals().entries, 1u);
-  EXPECT_EQ(cache.Lookup("k", 0.0)->body, "new");
+  EXPECT_EQ(cache.LookupShared("k", 0.0)->body, "new");
   EXPECT_TRUE(cache.Erase("k"));
   EXPECT_FALSE(cache.Erase("k"));
-  EXPECT_FALSE(cache.Lookup("k", 0.0).has_value());
+  EXPECT_EQ(cache.LookupShared("k", 0.0), nullptr);
 
   // An entry bigger than one shard's slice (4096/2) is skipped entirely.
-  cache.Insert("big", Body(std::string(3000, 'x')), 0.0);
-  EXPECT_FALSE(cache.Lookup("big", 0.0).has_value());
+  cache.InsertShared("big", Body(std::string(3000, 'x')), 0.0);
+  EXPECT_EQ(cache.LookupShared("big", 0.0), nullptr);
   EXPECT_EQ(cache.Totals().entries, 0u);
 }
 
@@ -270,9 +270,9 @@ TEST(ResponseCacheTest, ShardCountersSumToTotals) {
   ShardedResponseCache cache(CacheConfig{8, 1 << 20, 0.0});
   for (int i = 0; i < 100; ++i) {
     std::string key = "key" + std::to_string(i);
-    cache.Insert(key, Body("v"), 0.0);
-    cache.Lookup(key, 0.0);
-    cache.Lookup("absent" + std::to_string(i), 0.0);
+    cache.InsertShared(key, Body("v"), 0.0);
+    cache.LookupShared(key, 0.0);
+    cache.LookupShared("absent" + std::to_string(i), 0.0);
   }
   CacheStats total = cache.Totals();
   EXPECT_EQ(total.hits, 100);
@@ -316,14 +316,15 @@ TEST(ResponseCacheStressTest, ConcurrentMixedOps) {
         int64_t op = rng.Uniform(0, 9);
         if (op < 6) {
           observed_lookups.fetch_add(1);
-          if (cache.Lookup(key, now).has_value()) {
+          if (cache.LookupShared(key, now) != nullptr) {
             observed_hits.fetch_add(1);
           }
         } else if (op < 9) {
-          cache.Insert(key, Body(std::string(
-                                static_cast<size_t>(rng.Uniform(1, 200)),
-                                'x')),
-                       now);
+          cache.InsertShared(
+              key,
+              Body(std::string(static_cast<size_t>(rng.Uniform(1, 200)),
+                               'x')),
+              now);
         } else {
           cache.Erase(key);
         }

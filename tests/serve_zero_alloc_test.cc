@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/web_service.h"
+#include "obs/metrics.h"
 #include "serve/request_scratch.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
@@ -219,10 +221,12 @@ TEST(ServeZeroAllocStress, CacheTotalsExactUnderConcurrentMutation) {
         if (i % 3 == 0) {
           ServiceResponse response;
           response.body = "v" + std::to_string(i);
-          cache.Insert(key, std::move(response), /*now_sec=*/0.0);
+          cache.InsertShared(
+              key, std::make_shared<const ServiceResponse>(std::move(response)),
+              /*now_sec=*/0.0);
           inserts.fetch_add(1, std::memory_order_relaxed);
         } else {
-          cache.Lookup(key, /*now_sec=*/0.0);
+          cache.LookupShared(key, /*now_sec=*/0.0);
           lookups.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -251,6 +255,61 @@ TEST(ServeZeroAllocStress, CacheTotalsExactUnderConcurrentMutation) {
   serve::CacheStats totals = cache.Totals();
   EXPECT_EQ(totals.hits + totals.misses, lookups.load());
   EXPECT_EQ(totals.inserts, inserts.load());
+}
+
+// The "serve.hit_alloc_bytes" gauge loses no update when many threads warm
+// their key buffers at once: fresh threads (each with a cold RequestScratch)
+// race their first, growing requests through one loop, and the gauge must
+// equal both Stats().hit_alloc_bytes and the growth the threads' own
+// scratches recorded. Run under TSan via the stress label.
+TEST(ServeZeroAllocStress, HitAllocGaugeExactUnderConcurrentWarmup) {
+  core::ServiceRegistry registry;
+  ASSERT_TRUE(
+      registry.Mount("svc", std::make_shared<EchoService>()).ok());
+  ShardedResponseCache cache(serve::CacheConfig{});
+  obs::MetricsRegistry metrics;
+  ServeConfig config;
+  config.num_workers = 2;
+  config.max_queue_depth = 256;
+  config.metrics = &metrics;
+  ServeLoop loop(&registry, config, &cache);
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<int64_t> grown(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      serve::RequestScratch& scratch = serve::RequestScratch::ForThisThread();
+      const int64_t before = scratch.allocated_bytes();
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      // Ever-longer keys: every request grows this thread's key buffer.
+      for (size_t len : {16u, 200u, 3000u}) {
+        ServiceRequest request = MakeRequest(t);
+        request.params["pad"] = std::string(len, 'p');
+        EXPECT_TRUE(loop.ExecuteShared(request).ok());
+      }
+      grown[static_cast<size_t>(t)] = scratch.allocated_bytes() - before;
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  loop.Drain();
+
+  int64_t total_grown = 0;
+  for (int64_t bytes : grown) {
+    EXPECT_GT(bytes, 0);
+    total_grown += bytes;
+  }
+  const int64_t stats_bytes = loop.Stats().hit_alloc_bytes;
+  EXPECT_EQ(stats_bytes, total_grown);
+  EXPECT_EQ(static_cast<int64_t>(
+                metrics.GetGauge("serve.hit_alloc_bytes")->Value()),
+            stats_bytes);
 }
 
 }  // namespace
