@@ -53,13 +53,10 @@ class FftScratch {
 };
 
 /// Power spectrum of a real time series: zero-pads to the next power of
-/// two, FFTs, and returns |X_k|^2 for k = 0..N/2-1 (the one-sided
-/// spectrum). The DC bin is zeroed so detrending is unnecessary upstream.
-std::vector<double> PowerSpectrum(const std::vector<double>& series);
-
-/// Scratch-reusing form: identical output to the vector-returning shim
-/// above (bit-for-bit — same code path), but the complex work buffer lives
-/// in `scratch` and `power` is reused across calls.
+/// two, FFTs, and writes |X_k|^2 for k = 0..N/2-1 (the one-sided spectrum)
+/// into `power`. The DC bin is zeroed so detrending is unnecessary
+/// upstream. The complex work buffer lives in `scratch` and `power` is
+/// reused across calls; the output does not depend on what either held.
 void PowerSpectrum(const std::vector<double>& series, FftScratch* scratch,
                    std::vector<double>* power);
 

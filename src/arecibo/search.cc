@@ -130,7 +130,9 @@ std::vector<Candidate> PeriodicitySearch::Search(
   if (series.samples.size() < 8) {
     return {};
   }
-  const std::vector<double> power = PowerSpectrum(series.samples);
+  FftScratch scratch;
+  std::vector<double> power;
+  PowerSpectrum(series.samples, &scratch, &power);
   return SearchPower(power, series);
 }
 

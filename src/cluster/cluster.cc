@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <thread>
 #include <utility>
 
+#include "util/byte_buffer.h"
 #include "util/logging.h"
 #include "util/md5.h"
 
@@ -20,12 +20,51 @@ constexpr int kNodeTrackBase = 1000;
 
 std::string NodeName(int index) { return "node" + std::to_string(index); }
 
-/// Zero-padded per-node write sequence, so journal-replay order (which is
-/// lexicographic in the record key) matches apply order per key.
-std::string SeqTag(int64_t seq) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%012lld", static_cast<long long>(seq));
-  return buf;
+/// One replica write as a node journal holds it: a single ByteWriter
+/// record per application, replayed in append order by RejoinNode().
+struct ReplicaWrite {
+  int shard = 0;
+  std::string key;
+  std::string value;
+  Version version;
+};
+
+std::string EncodeReplicaWrite(int shard, const std::string& key,
+                               const std::string& value,
+                               const Version& version) {
+  ByteWriter w;
+  w.PutVarint(static_cast<uint64_t>(shard));
+  w.PutString(key);
+  w.PutString(value);
+  w.PutVarint(static_cast<uint64_t>(version.epoch));
+  w.PutVarint(static_cast<uint64_t>(version.counter));
+  w.PutString(version.node);
+  return w.Take();
+}
+
+/// Corruption on a truncated record, trailing bytes, or a shard outside
+/// [0, num_shards): a frame that passed its CRC but is not a replica write.
+Result<ReplicaWrite> DecodeReplicaWrite(std::string_view payload,
+                                        int num_shards) {
+  ByteReader r(payload);
+  ReplicaWrite write;
+  DFLOW_ASSIGN_OR_RETURN(uint64_t shard, r.GetVarint());
+  if (shard >= static_cast<uint64_t>(num_shards)) {
+    return Status::Corruption("cluster journal record names shard " +
+                              std::to_string(shard));
+  }
+  write.shard = static_cast<int>(shard);
+  DFLOW_ASSIGN_OR_RETURN(write.key, r.GetString());
+  DFLOW_ASSIGN_OR_RETURN(write.value, r.GetString());
+  DFLOW_ASSIGN_OR_RETURN(uint64_t epoch, r.GetVarint());
+  DFLOW_ASSIGN_OR_RETURN(uint64_t counter, r.GetVarint());
+  write.version.epoch = static_cast<int64_t>(epoch);
+  write.version.counter = static_cast<int64_t>(counter);
+  DFLOW_ASSIGN_OR_RETURN(write.version.node, r.GetString());
+  if (!r.AtEnd()) {
+    return Status::Corruption("trailing bytes in cluster journal record");
+  }
+  return write;
 }
 
 /// Empty-shard digest basis: a node holding no copy of a shard digests the
@@ -136,8 +175,8 @@ Status Cluster::Init(const BackendFactory& backends) {
     if (!config_.journal_dir.empty()) {
       node->journal_path =
           config_.journal_dir + "/cluster_" + node->name + ".journal";
-      DFLOW_ASSIGN_OR_RETURN(
-          node->journal, recover::CheckpointJournal::Open(node->journal_path));
+      DFLOW_ASSIGN_OR_RETURN(node->journal,
+                             db::WalWriter::Open(node->journal_path));
     }
     if (config_.tracer != nullptr && config_.tracer->enabled()) {
       config_.tracer->NameTrack(node->trace_tid, "cluster/" + node->name);
@@ -172,17 +211,16 @@ Status Cluster::Init(const BackendFactory& backends) {
     serve::ServeConfig serve_config;
     serve_config.num_workers = config_.workers_per_node;
     serve_config.max_queue_depth = config_.queue_depth;
-    serve_config.default_deadline_sec = config_.default_deadline_sec;
     // No registry: each node's loop counts into its own private one
     // (NodeServeStats); a shared registry would merge the nodes' counts.
     serve_config.metrics = nullptr;
-    if (config_.breaker_failover && config_.num_nodes > 1) {
-      serve_config.breaker.enabled = true;
-      serve_config.breaker.seed = config_.seed + node->index;
-    }
+    // With a second node to fail over to, a failing backend's requests go
+    // to the successor's registry.
+    serve_config.breaker.enabled = config_.num_nodes > 1;
+    serve_config.breaker.seed = config_.seed + node->index;
     node->loop = std::make_unique<serve::ServeLoop>(
         &node->registry, serve_config, node->cache.get());
-    if (config_.breaker_failover && config_.num_nodes > 1) {
+    if (serve_config.breaker.enabled) {
       Node* successor = nodes_[(node->index + 1) % nodes_.size()].get();
       std::set<std::string> prefixes;
       for (const std::string& endpoint : node->registry.Endpoints()) {
@@ -309,7 +347,7 @@ Result<core::ServiceResponse> Cluster::Execute(
           node->trace_tid);
     }
     Result<core::ServiceResponse> response =
-        node->loop->Execute(request, config_.default_deadline_sec);
+        node->loop->Execute(request);
     if (hop && config_.forward_latency_sec > 0.0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(config_.forward_latency_sec));
@@ -336,19 +374,8 @@ bool Cluster::ApplyWrite(Node* node, int shard, const std::string& key,
   ++data.applied;
   replica_writes_->Add(1);
   if (node->journal != nullptr) {
-    recover::StageEventRecord record;
-    record.kind = recover::StageEventRecord::Kind::kCompleted;
-    record.stage = "shard" + std::to_string(shard);
-    record.input = key + "@" + SeqTag(node->journal_seq++);
-    recover::JournaledProduct product;
-    product.name = key;
-    product.attributes.emplace_back("value", value);
-    product.attributes.emplace_back("epoch", std::to_string(version.epoch));
-    product.attributes.emplace_back("counter",
-                                    std::to_string(version.counter));
-    product.attributes.emplace_back("node", version.node);
-    record.outputs.push_back(std::move(product));
-    DFLOW_CHECK_OK(node->journal->Append(record));
+    DFLOW_CHECK_OK(node->journal->Append(
+        EncodeReplicaWrite(shard, key, value, version)));
     DFLOW_CHECK_OK(node->journal->Sync());
   }
   return true;
@@ -644,47 +671,37 @@ Status Cluster::RejoinNode(const std::string& node_id) {
   }
 
   if (!node->journal_path.empty()) {
-    Result<recover::JournalReplay> replay =
-        recover::JournalReplay::Load(node->journal_path);
-    if (replay.ok()) {
-      for (const auto& [stage_input, record] : replay->entries()) {
-        if (record.kind != recover::StageEventRecord::Kind::kCompleted ||
-            record.outputs.empty() ||
-            record.stage.rfind("shard", 0) != 0) {
-          continue;
-        }
-        int shard = std::atoi(record.stage.c_str() + 5);
-        const recover::JournaledProduct& product = record.outputs.front();
-        std::string value;
-        Version version;
-        for (const auto& [attr, attr_value] : product.attributes) {
-          if (attr == "value") {
-            value = attr_value;
-          } else if (attr == "epoch") {
-            version.epoch = std::atoll(attr_value.c_str());
-          } else if (attr == "counter") {
-            version.counter = std::atoll(attr_value.c_str());
-          } else if (attr == "node") {
-            version.node = attr_value;
-          }
-        }
-        // Replay order is journal (seq) order; apply-if-newer keeps a
-        // replayed read-repair or hint from regressing a later write.
-        ShardData& data = node->shards[shard];
-        auto have = data.entries.find(product.name);
-        if (have == data.entries.end() || have->second.version < version) {
-          data.entries[product.name] = VersionedValue{value, version};
-        }
-        ++data.applied;
-        journal_replayed_->Add(1);
-      }
-    } else if (!replay.status().IsNotFound()) {
-      return replay.status();
+    Result<std::vector<std::string>> frames =
+        db::WalReadAll(node->journal_path);
+    if (!frames.ok() && !frames.status().IsNotFound()) {
+      return frames.status();
     }
-    // Reopen for appending; the sequence continues past every record the
-    // journal already holds (replayed count is exactly that).
-    DFLOW_ASSIGN_OR_RETURN(
-        node->journal, recover::CheckpointJournal::Open(node->journal_path));
+    // Decode every record before applying any, so a Corruption leaves the
+    // node dead and its state untouched.
+    std::vector<ReplicaWrite> writes;
+    if (frames.ok()) {
+      writes.reserve(frames->size());
+      for (const std::string& frame : *frames) {
+        DFLOW_ASSIGN_OR_RETURN(
+            ReplicaWrite write,
+            DecodeReplicaWrite(frame, map_.config().num_shards));
+        writes.push_back(std::move(write));
+      }
+    }
+    // Append order, each record only if newer than the resident copy (the
+    // merge every other path uses).
+    for (ReplicaWrite& write : writes) {
+      ShardData& data = node->shards[write.shard];
+      auto have = data.entries.find(write.key);
+      if (have == data.entries.end() || have->second.version < write.version) {
+        data.entries[write.key] =
+            VersionedValue{std::move(write.value), write.version};
+      }
+      ++data.applied;
+      journal_replayed_->Add(1);
+    }
+    DFLOW_ASSIGN_OR_RETURN(node->journal,
+                           db::WalWriter::Open(node->journal_path));
   }
 
   // Anti-entropy: writes that landed while the node was dead are missing

@@ -14,12 +14,12 @@
 #include "cluster/router.h"
 #include "cluster/shard_map.h"
 #include "core/web_service.h"
+#include "db/wal.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "recover/journal.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
 #include "sim/simulation.h"
@@ -42,17 +42,15 @@ struct ClusterConfig {
   /// Per-node serve tier: each node runs its own ServeLoop over its own
   /// ServiceRegistry — the model is one synchronous service process per
   /// node (per-mount locking), so cluster capacity grows with node count.
+  /// With more than one node, every loop runs the recovery tier's circuit
+  /// breaker with the successor node's registry as its replica
+  /// (SetReplica()), so a failing backend on one node fails over to the
+  /// next — the PR 5 machinery, reused per node.
   int workers_per_node = 2;
   size_t queue_depth = 128;
-  double default_deadline_sec = 0.0;
   /// Optional per-node response cache (hits bypass the node's mount lock).
   bool enable_cache = false;
   size_t cache_capacity_bytes = 4u << 20;
-  /// When true, every node's ServeLoop runs the recovery tier's circuit
-  /// breaker with the successor node's registry registered via
-  /// SetReplica(), so a failing backend on one node fails over to the
-  /// next — the PR 5 machinery, reused per node.
-  bool breaker_failover = true;
 
   /// Cross-node forwarding model for the wall-clock path: a request whose
   /// target is not its ingress node pays one simulated hop of this much
@@ -74,9 +72,11 @@ struct ClusterConfig {
   int write_quorum = 0;
   int read_quorum = 0;
 
-  /// Directory for per-node checkpoint journals ("" disables journaling).
-  /// Every replicated write a node applies is journaled, and RejoinNode()
-  /// replays the journal to rebuild the node's shard state byte for byte.
+  /// Directory for per-node journals, "cluster_<node>.journal" ("" disables
+  /// journaling). Every replicated write a node applies is appended through
+  /// a db::WalWriter and flushed (no fsync), and RejoinNode() replays the
+  /// journal in append order to rebuild the node's shard state byte for
+  /// byte.
   std::string journal_dir;
 
   /// Optional seeded operation history (borrowed; must outlive the
@@ -215,9 +215,11 @@ class Cluster {
   /// traffic, the in-flight tail drains.
   Status KillNode(const std::string& node_id);
 
-  /// Brings a dead node back: replays its checkpoint journal to rebuild
-  /// shard state, then re-syncs from each shard's current owner any shard
-  /// whose writes it missed while dead (counted in catchup_shards).
+  /// Brings a dead node back: replays its journal in append order to
+  /// rebuild shard state, then re-syncs from each shard's current owner any
+  /// shard whose writes it missed while dead (counted in catchup_shards).
+  /// Corruption if an intact journal frame is not a replica write; the
+  /// node then stays dead with its state untouched.
   Status RejoinNode(const std::string& node_id);
 
   bool IsAlive(const std::string& node_id) const;
@@ -343,10 +345,9 @@ class Cluster {
     /// order. Volatile like shard state: a kill drops them. Guarded by
     /// Cluster::mu_.
     std::vector<Hint> hints;
-    std::unique_ptr<recover::CheckpointJournal> journal;
+    std::unique_ptr<db::WalWriter> journal;  // Null while dead or unset.
     std::string journal_path;
-    int64_t journal_seq = 0;  // Monotonic per-node write sequence.
-    int trace_tid = 0;        // This node's trace track.
+    int trace_tid = 0;  // This node's trace track.
     // Declared last: the loop must die before the registry/cache it uses.
     std::unique_ptr<serve::ServeLoop> loop;
   };

@@ -97,10 +97,6 @@ class Database {
  private:
   Database(DatabaseOptions options, std::unique_ptr<PageStore> store);
 
-  struct PendingOp {
-    std::function<Status()> apply;
-  };
-
   Result<QueryResult> Dispatch(Statement stmt);
 
   // Immediate-apply internals; log = whether to emit WAL records.

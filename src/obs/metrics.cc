@@ -5,6 +5,8 @@
 #include <sstream>
 #include <thread>
 
+#include "util/strings.h"
+
 namespace dflow::obs {
 
 namespace {
@@ -15,40 +17,6 @@ std::string FmtDouble(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   return buf;
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -175,7 +143,7 @@ std::string MetricsRegistry::SnapshotJson() const {
       out += ",";
     }
     first = false;
-    AppendJsonString(&out, name);
+    out += JsonQuote(name);
     out += ":" + std::to_string(counter->Value());
   }
   out += "},\"gauges\":{";
@@ -185,7 +153,7 @@ std::string MetricsRegistry::SnapshotJson() const {
       out += ",";
     }
     first = false;
-    AppendJsonString(&out, name);
+    out += JsonQuote(name);
     out += ":" + FmtDouble(gauge->Value());
   }
   out += "},\"histograms\":{";
@@ -195,7 +163,7 @@ std::string MetricsRegistry::SnapshotJson() const {
       out += ",";
     }
     first = false;
-    AppendJsonString(&out, name);
+    out += JsonQuote(name);
     LatencyHistogram h = histogram->Snapshot();
     out += ":{\"count\":" + std::to_string(h.count());
     out += ",\"mean_sec\":" + FmtDouble(h.mean_sec());

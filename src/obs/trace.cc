@@ -1,48 +1,11 @@
 #include "obs/trace.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "util/md5.h"
+#include "util/strings.h"
 
 namespace dflow::obs {
-
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 Tracer::Tracer(TracerConfig config)
     : config_(std::move(config)),
@@ -152,9 +115,9 @@ std::string Tracer::ExportChromeJson() const {
     }
     first = false;
     out += "{\"name\":";
-    AppendJsonString(&out, event.name);
+    out += JsonQuote(event.name);
     out += ",\"cat\":";
-    AppendJsonString(&out, event.category);
+    out += JsonQuote(event.category);
     out += ",\"ph\":\"";
     out.push_back(event.phase);
     out += "\",\"ts\":" + std::to_string(event.ts_us);
@@ -173,9 +136,9 @@ std::string Tracer::ExportChromeJson() const {
           out += ",";
         }
         first_arg = false;
-        AppendJsonString(&out, key);
+        out += JsonQuote(key);
         out += ":";
-        AppendJsonString(&out, value);
+        out += JsonQuote(value);
       }
       out += "}";
     }

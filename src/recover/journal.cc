@@ -1,12 +1,6 @@
 #include "recover/journal.h"
 
-#include <cerrno>
-#include <cstring>
-
-#include "db/wal.h"
 #include "util/byte_buffer.h"
-#include "util/crc32.h"
-#include "util/logging.h"
 
 namespace dflow::recover {
 
@@ -102,11 +96,10 @@ Result<StageEventRecord> StageEventRecord::Decode(std::string_view payload) {
 }
 
 CheckpointJournal::~CheckpointJournal() {
-  if (file_ != nullptr) {
-    // Best-effort final flush: normal destruction makes everything
+  if (wal_ != nullptr) {
+    // Best-effort final sync: normal destruction makes everything
     // appended durable; only Abandon() (and SIGKILL) drop the tail.
     (void)Sync();
-    std::fclose(file_);
   }
 }
 
@@ -120,69 +113,45 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(
   if (options.sync_every < 1) {
     return Status::InvalidArgument("sync_every must be >= 1");
   }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    return Status::IOError("cannot open checkpoint journal '" + path +
-                           "': " + std::strerror(errno));
-  }
+  DFLOW_ASSIGN_OR_RETURN(std::unique_ptr<db::WalWriter> wal,
+                         db::WalWriter::Open(path));
   return std::unique_ptr<CheckpointJournal>(
-      new CheckpointJournal(file, path, options));
+      new CheckpointJournal(std::move(wal), options));
 }
 
 Status CheckpointJournal::Append(const StageEventRecord& record) {
-  if (file_ == nullptr) {
+  if (wal_ == nullptr) {
     return Status::FailedPrecondition("journal abandoned");
   }
-  std::string payload = record.Encode();
-  // db::wal framing discipline: u32 length, u32 CRC-32 of the payload.
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc = Crc32::Of(payload);
-  char header[8];
-  std::memcpy(header, &len, sizeof(len));
-  std::memcpy(header + 4, &crc, sizeof(crc));
-  pending_.append(header, sizeof(header));
-  pending_.append(payload);
-  ++pending_records_;
+  pending_.push_back(record.Encode());
   ++records_appended_;
   if (record.kind == StageEventRecord::Kind::kDeadLettered ||
-      pending_records_ >= options_.sync_every) {
+      static_cast<int64_t>(pending_.size()) >= options_.sync_every) {
     return Sync();
   }
   return Status::OK();
 }
 
 Status CheckpointJournal::Sync() {
-  if (file_ == nullptr) {
+  if (wal_ == nullptr) {
     return Status::FailedPrecondition("journal abandoned");
   }
   if (pending_.empty()) {
     return Status::OK();
   }
-  if (std::fwrite(pending_.data(), 1, pending_.size(), file_) !=
-      pending_.size()) {
-    return Status::IOError("journal append failed: " +
-                           std::string(std::strerror(errno)));
+  for (const std::string& payload : pending_) {
+    DFLOW_RETURN_IF_ERROR(wal_->Append(payload));
   }
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("journal flush failed");
-  }
-  bytes_written_ += static_cast<int64_t>(pending_.size());
-  records_synced_ += pending_records_;
+  DFLOW_RETURN_IF_ERROR(wal_->Sync());
+  records_synced_ += static_cast<int64_t>(pending_.size());
   pending_.clear();
-  pending_records_ = 0;
-  ++syncs_;
   return Status::OK();
 }
 
 void CheckpointJournal::Abandon() {
-  if (file_ == nullptr) {
-    return;
-  }
   // Drop the unsynced tail on the floor — the SIGKILL view of the file.
   pending_.clear();
-  pending_records_ = 0;
-  std::fclose(file_);
-  file_ = nullptr;
+  wal_.reset();
 }
 
 Result<JournalReplay> JournalReplay::Load(const std::string& path) {

@@ -2,13 +2,13 @@
 #define DFLOW_RECOVER_JOURNAL_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "db/wal.h"
 #include "util/result.h"
 
 namespace dflow::recover {
@@ -56,24 +56,24 @@ struct StageEventRecord {
   static Result<StageEventRecord> Decode(std::string_view payload);
 };
 
-/// Append-only, CRC-framed checkpoint journal — the db::wal framing
-/// discipline (u32 length, u32 CRC-32, payload) applied to pipeline
-/// terminal events, with explicit durability control:
+/// Append-only checkpoint journal of pipeline terminal events, written
+/// through db::WalWriter (u32 length, u32 CRC-32, payload — the one frame
+/// format) with explicit durability control:
 ///
-///   * Append() buffers the framed record in memory and flushes every
+///   * Append() keeps the encoded record in memory and syncs every
 ///     `sync_every` appends (the checkpoint granularity knob: redo work
 ///     after a crash is bounded by `sync_every - 1` completed-but-unsynced
 ///     events plus whatever was in flight).
-///   * Dead-letter records are flushed IMMEDIATELY regardless of
+///   * Dead-letter records are synced IMMEDIATELY regardless of
 ///     `sync_every` — a parked product must survive the process that
 ///     parked it (operations staff grep the journal next morning).
-///   * A SIGKILL loses only the in-memory pending buffer; everything
-///     flushed is on disk. A kill mid-flush leaves a torn tail record that
+///   * A SIGKILL loses only the in-memory pending records; everything
+///     synced is on disk. A kill mid-sync leaves a torn tail record that
 ///     replay drops (db::WalReadAll semantics), never a corrupt prefix.
 class CheckpointJournal {
  public:
   struct Options {
-    /// Flush after this many buffered appends. 1 = every terminal event is
+    /// Sync after this many pending appends. 1 = every terminal event is
     /// durable before the next simulation event runs.
     int sync_every = 1;
   };
@@ -89,38 +89,35 @@ class CheckpointJournal {
   static Result<std::unique_ptr<CheckpointJournal>> Open(
       const std::string& path);
 
-  /// Buffers one record; dead-letter records force an immediate Sync().
+  /// Queues one record; dead-letter records force an immediate Sync().
   Status Append(const StageEventRecord& record);
 
-  /// Flushes the pending buffer to the file and fflushes it, making every
-  /// appended record kill-durable (page cache survives SIGKILL).
+  /// Appends every pending record to the log and flushes it, making each
+  /// one kill-durable (page cache survives SIGKILL).
   Status Sync();
 
   /// Crash-emulation hook for benches/tests: drops the pending (unsynced)
-  /// buffer and closes the file WITHOUT flushing — exactly what SIGKILL
-  /// does to this process's view of the journal. The journal is unusable
-  /// afterwards.
+  /// records and closes the log — exactly what SIGKILL does to this
+  /// process's view of the journal (the log itself holds only synced
+  /// records). The journal is unusable afterwards.
   void Abandon();
 
   int64_t records_appended() const { return records_appended_; }
   int64_t records_synced() const { return records_synced_; }
-  int64_t syncs() const { return syncs_; }
-  int64_t bytes_written() const { return bytes_written_; }
-  const std::string& path() const { return path_; }
+  /// Framed bytes synced to the log (0 once abandoned).
+  int64_t bytes_written() const {
+    return wal_ != nullptr ? wal_->bytes_written() : 0;
+  }
 
  private:
-  CheckpointJournal(std::FILE* file, std::string path, Options options)
-      : file_(file), path_(std::move(path)), options_(options) {}
+  CheckpointJournal(std::unique_ptr<db::WalWriter> wal, Options options)
+      : wal_(std::move(wal)), options_(options) {}
 
-  std::FILE* file_;
-  std::string path_;
+  std::unique_ptr<db::WalWriter> wal_;  // Null once abandoned.
   Options options_;
-  std::string pending_;          // Framed records awaiting a flush.
-  int64_t pending_records_ = 0;  // Records inside pending_.
+  std::vector<std::string> pending_;  // Encoded records awaiting a sync.
   int64_t records_appended_ = 0;
   int64_t records_synced_ = 0;
-  int64_t syncs_ = 0;
-  int64_t bytes_written_ = 0;
 };
 
 /// Read side: loads every intact record from a journal file (torn or
@@ -141,14 +138,6 @@ class JournalReplay {
   /// none (the product must be re-executed live).
   const StageEventRecord* Find(const std::string& stage,
                                const std::string& input) const;
-
-  /// Every terminal record keyed by (stage, input), in key order — for
-  /// consumers that rebuild state by iterating the whole journal (the
-  /// cluster tier's node rejoin) rather than probing with Find().
-  const std::map<std::pair<std::string, std::string>, StageEventRecord>&
-  entries() const {
-    return entries_;
-  }
 
   size_t size() const { return entries_.size(); }
   int64_t completed() const { return completed_; }

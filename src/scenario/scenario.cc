@@ -5,31 +5,13 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/strings.h"
+
 namespace dflow::scenario {
 namespace {
 
 double ClampScale(double scale) {
   return std::min(4.0, std::max(0.05, scale));
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return out;
 }
 
 std::string FmtG(double v) {
@@ -63,8 +45,8 @@ ScenarioParams ScenarioParams::FromEnv() {
 
 std::string ScenarioResult::ToJsonRow() const {
   std::ostringstream os;
-  os << "{\"scenario\": \"" << JsonEscape(name) << "\""
-     << ", \"kind\": \"" << JsonEscape(kind) << "\""
+  os << "{\"scenario\": " << JsonQuote(name)
+     << ", \"kind\": " << JsonQuote(kind)
      << ", \"seed\": " << seed
      << ", \"scale\": " << FmtG(scale)
      << ", \"offered\": " << offered
@@ -72,9 +54,9 @@ std::string ScenarioResult::ToJsonRow() const {
      << ", \"p99_ms\": " << FmtG(p99_ms)
      << ", \"shed_rate\": " << FmtG(shed_rate)
      << ", \"recovery_sec\": " << FmtG(recovery_sec)
-     << ", \"fingerprint\": \"" << JsonEscape(fingerprint) << "\"";
+     << ", \"fingerprint\": " << JsonQuote(fingerprint);
   for (const auto& [key, value] : extra) {
-    os << ", \"" << JsonEscape(key) << "\": " << value;
+    os << ", " << JsonQuote(key) << ": " << value;
   }
   os << "}";
   return os.str();

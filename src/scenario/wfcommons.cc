@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace dflow::scenario {
 namespace {
@@ -411,31 +412,6 @@ Status CheckAcyclic(const WorkflowInstance& instance) {
   return Status::OK();
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return out;
-}
-
 std::string FmtDouble(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -642,28 +618,26 @@ Result<WorkflowInstance> ParseWfInstance(std::string_view json) {
 std::string EmitWfInstance(const WorkflowInstance& instance) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"name\": \"" << JsonEscape(instance.name) << "\",\n";
+  os << "  \"name\": " << JsonQuote(instance.name) << ",\n";
   os << "  \"schemaVersion\": \"1.5\",\n";
   os << "  \"workflow\": {\n";
   os << "    \"tasks\": [\n";
   for (size_t i = 0; i < instance.tasks.size(); ++i) {
     const WorkflowTask& task = instance.tasks[i];
     os << "      {\n";
-    os << "        \"id\": \"" << JsonEscape(task.id) << "\",\n";
-    os << "        \"name\": \"" << JsonEscape(task.name) << "\",\n";
+    os << "        \"id\": " << JsonQuote(task.id) << ",\n";
+    os << "        \"name\": " << JsonQuote(task.name) << ",\n";
     os << "        \"runtimeInSeconds\": " << FmtDouble(task.runtime_sec)
        << ",\n";
     os << "        \"outputBytes\": " << task.output_bytes << ",\n";
     os << "        \"parents\": [";
     for (size_t p = 0; p < task.parents.size(); ++p) {
-      os << (p == 0 ? "" : ", ") << "\"" << JsonEscape(task.parents[p])
-         << "\"";
+      os << (p == 0 ? "" : ", ") << JsonQuote(task.parents[p]);
     }
     os << "],\n";
     os << "        \"children\": [";
     for (size_t c = 0; c < task.children.size(); ++c) {
-      os << (c == 0 ? "" : ", ") << "\"" << JsonEscape(task.children[c])
-         << "\"";
+      os << (c == 0 ? "" : ", ") << JsonQuote(task.children[c]);
     }
     os << "]\n";
     os << "      }" << (i + 1 < instance.tasks.size() ? "," : "") << "\n";

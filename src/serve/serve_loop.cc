@@ -91,10 +91,6 @@ Result<core::ServiceResponse> ServeLoop::DispatchTo(
   switch (config_.locking) {
     case ServeConfig::BackendLocking::kNone:
       return registry->Handle(request);
-    case ServeConfig::BackendLocking::kGlobal: {
-      std::lock_guard<std::mutex> lock(global_backend_lock_);
-      return registry->Handle(request);
-    }
     case ServeConfig::BackendLocking::kPerMount: {
       std::mutex* mount_lock = nullptr;
       {
@@ -253,7 +249,7 @@ Result<core::ServiceResponse> ServeLoop::Dispatch(
   return Status::Internal("unreachable: unknown breaker route");
 }
 
-void ServeLoop::Process(core::ServiceRequest request, SharedDoneFn done,
+void ServeLoop::Process(core::ServiceRequest request, DoneFn done,
                         std::string key, double start_sec,
                         double deadline_at_sec, int64_t trace_admit_us) {
   obs::Tracer* tracer = ActiveTracer();
@@ -311,9 +307,8 @@ void ServeLoop::Process(core::ServiceRequest request, SharedDoneFn done,
   }
 }
 
-Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
-                                  core::ServiceRequest* owned,
-                                  SharedDoneFn done, double deadline_sec) {
+Status ServeLoop::Enqueue(const core::ServiceRequest& request, DoneFn done,
+                          double deadline_sec) {
   offered_->Add(1);
   obs::Tracer* tracer = ActiveTracer();
   double start_sec = NowSec();
@@ -359,19 +354,12 @@ Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
     cache_misses_->Add(1);
   }
 
-  double effective_deadline = deadline_sec == 0.0
-                                  ? config_.default_deadline_sec
-                                  : std::max(deadline_sec, 0.0);
   double deadline_at_sec =
-      effective_deadline > 0.0 ? start_sec + effective_deadline : 0.0;
-
+      deadline_sec > 0.0 ? start_sec + deadline_sec : 0.0;
   int64_t trace_admit_us = tracer != nullptr ? tracer->NowUs() : -1;
-  // Miss path: the task needs its own request and key. Move from the
-  // caller's copy when it handed us ownership; copy otherwise.
-  core::ServiceRequest task_request =
-      owned != nullptr ? std::move(*owned) : request;
+  // Miss path: the task needs its own copy of the request and key.
   bool accepted = pool_->TrySubmit(
-      [this, request = std::move(task_request), done = std::move(done),
+      [this, request = core::ServiceRequest(request), done = std::move(done),
        key = std::string(key), start_sec, deadline_at_sec,
        trace_admit_us]() mutable {
         Process(std::move(request), std::move(done), std::move(key),
@@ -400,53 +388,11 @@ Status ServeLoop::EnqueueInternal(const core::ServiceRequest& request,
   return Status::OK();
 }
 
-Status ServeLoop::Enqueue(core::ServiceRequest request, DoneFn done,
-                          double deadline_sec) {
-  SharedDoneFn shared_done;
-  if (done) {
-    // Value-callback shim: materialize one copy of the response at
-    // delivery time (the same single copy the old cache-insert path
-    // performed before responses were shared).
-    shared_done = [done = std::move(done)](const Result<ResponsePtr>& r) {
-      if (r.ok()) {
-        done(Result<core::ServiceResponse>(**r));
-      } else {
-        done(r.status());
-      }
-    };
-  }
-  return EnqueueInternal(request, &request, std::move(shared_done),
-                         deadline_sec);
-}
-
-Status ServeLoop::EnqueueShared(const core::ServiceRequest& request,
-                                SharedDoneFn done, double deadline_sec) {
-  return EnqueueInternal(request, /*owned=*/nullptr, std::move(done),
-                         deadline_sec);
-}
-
-Result<core::ServiceResponse> ServeLoop::Execute(
-    const core::ServiceRequest& request, double deadline_sec) {
-  auto promise =
-      std::make_shared<std::promise<Result<core::ServiceResponse>>>();
-  std::future<Result<core::ServiceResponse>> future = promise->get_future();
-  Status admitted = Enqueue(
-      request,
-      [promise](const Result<core::ServiceResponse>& result) {
-        promise->set_value(result);
-      },
-      deadline_sec);
-  if (!admitted.ok()) {
-    return admitted;
-  }
-  return future.get();
-}
-
 Result<ResponsePtr> ServeLoop::ExecuteShared(
     const core::ServiceRequest& request, double deadline_sec) {
   auto promise = std::make_shared<std::promise<Result<ResponsePtr>>>();
   std::future<Result<ResponsePtr>> future = promise->get_future();
-  Status admitted = EnqueueShared(
+  Status admitted = Enqueue(
       request,
       [promise](const Result<ResponsePtr>& result) {
         promise->set_value(result);
@@ -456,6 +402,13 @@ Result<ResponsePtr> ServeLoop::ExecuteShared(
     return admitted;
   }
   return future.get();
+}
+
+Result<core::ServiceResponse> ServeLoop::Execute(
+    const core::ServiceRequest& request, double deadline_sec) {
+  DFLOW_ASSIGN_OR_RETURN(ResponsePtr response,
+                         ExecuteShared(request, deadline_sec));
+  return *response;
 }
 
 void ServeLoop::Drain() { pool_->Wait(); }

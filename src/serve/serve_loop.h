@@ -31,11 +31,6 @@ struct ServeConfig {
   /// overload the queue (and therefore the queueing delay of admitted
   /// requests) stays capped and the shed fraction rises instead.
   size_t max_queue_depth = 64;
-  /// Default per-request deadline, measured from admission; a request that
-  /// is still waiting in the queue when its deadline passes is answered
-  /// ResourceExhausted without touching the backend. 0 disables. Enqueue()
-  /// may override per request.
-  double default_deadline_sec = 0.0;
   /// Retry-after hints for shed requests reuse the RetryPolicy shape from
   /// the fault-handling PR: the k-th CONSECUTIVE shed suggests
   ///   min(backoff_initial_sec * multiplier^(k-1), backoff_max_sec),
@@ -52,10 +47,9 @@ struct ServeConfig {
   /// (db::Database and friends) are single-threaded by design — the paper's
   /// services ran one synchronous web server each — so the default takes
   /// one lock per top-level mount prefix: requests to DIFFERENT services
-  /// run concurrently, requests to the same service serialize. kGlobal
-  /// serializes everything; kNone is for backends that are themselves
-  /// thread-safe.
-  enum class BackendLocking { kPerMount, kGlobal, kNone };
+  /// run concurrently, requests to the same service serialize. kNone is
+  /// for backends that are themselves thread-safe.
+  enum class BackendLocking { kPerMount, kNone };
   BackendLocking locking = BackendLocking::kPerMount;
 
   /// Health-gated failover (the recovery PR). Disabled by default — with
@@ -150,16 +144,16 @@ struct ServeStats {
 ///
 /// Results are delivered through a completion callback (`DoneFn`), which
 /// runs on a worker thread — or inline on the caller's thread for cache
-/// hits. Execute() wraps that in a blocking call for closed-loop clients.
+/// hits. ExecuteShared() and Execute() wrap that in a blocking call for
+/// closed-loop clients.
 ///
 /// Thread-safe: any number of threads may Enqueue()/Execute() concurrently.
 class ServeLoop {
  public:
-  using DoneFn = std::function<void(const Result<core::ServiceResponse>&)>;
   /// Zero-copy completion: the response arrives as a refcounted handle to
   /// the (immutable) cached object — no body copy anywhere between the
   /// handler that produced it and the callback that reads it.
-  using SharedDoneFn = std::function<void(const Result<ResponsePtr>&)>;
+  using DoneFn = std::function<void(const Result<ResponsePtr>&)>;
 
   /// `registry` must outlive the loop. `cache` may be null (no caching);
   /// if set, OK responses are inserted with the handler's
@@ -178,30 +172,28 @@ class ServeLoop {
   /// (done will run on a worker); ResourceExhausted if shed, with a
   /// retry-after hint in the message and in Stats().last_retry_after_sec —
   /// `done` is NOT invoked for shed requests, the return Status is the
-  /// whole answer. `deadline_sec` > 0 overrides the config default (from
-  /// now); < 0 disables the deadline for this request.
-  Status Enqueue(core::ServiceRequest request, DoneFn done = nullptr,
+  /// whole answer. With `deadline_sec` > 0 the request has a deadline that
+  /// many seconds after admission: if it is still waiting in the queue
+  /// then, `done` gets ResourceExhausted and the backend is never called.
+  ///
+  /// A cache hit performs ZERO heap allocations and ZERO response-body
+  /// copies — the canonical key is built into a warmed thread-local buffer
+  /// (RequestScratch), the cache probe is a string_view lookup, and `done`
+  /// receives a refcount handle to the cached response, invoked inline on
+  /// the calling thread. On a miss the request is copied into the queued
+  /// task (the caller keeps ownership).
+  Status Enqueue(const core::ServiceRequest& request, DoneFn done = nullptr,
                  double deadline_sec = 0.0);
 
-  /// The raw-speed submit: identical admission/deadline semantics to
-  /// Enqueue, but a cache hit performs ZERO heap allocations and ZERO
-  /// response-body copies — the canonical key is built into a warmed
-  /// thread-local buffer (RequestScratch), the cache probe is a
-  /// string_view lookup, and `done` receives a refcount handle to the
-  /// cached response, invoked inline on the calling thread. On a miss the
-  /// request is copied into the queued task (the caller keeps ownership).
-  Status EnqueueShared(const core::ServiceRequest& request,
-                       SharedDoneFn done = nullptr,
-                       double deadline_sec = 0.0);
-
-  /// Blocking submit for closed-loop clients: admission control still
-  /// applies (a shed request returns ResourceExhausted immediately).
-  Result<core::ServiceResponse> Execute(const core::ServiceRequest& request,
-                                        double deadline_sec = 0.0);
-
-  /// Blocking form of EnqueueShared.
+  /// Blocking form of Enqueue for closed-loop clients: admission control
+  /// still applies (a shed request returns ResourceExhausted immediately).
   Result<ResponsePtr> ExecuteShared(const core::ServiceRequest& request,
                                     double deadline_sec = 0.0);
+
+  /// ExecuteShared plus one copy of the response, for callers that want
+  /// it by value.
+  Result<core::ServiceResponse> Execute(const core::ServiceRequest& request,
+                                        double deadline_sec = 0.0);
 
   /// Blocks until every admitted request has completed.
   void Drain();
@@ -253,14 +245,7 @@ class ServeLoop {
     double open_until_sec = 0.0;  // NowSec() deadline of the open window.
   };
 
-  /// Shared admission path. `request` is always valid; when `owned` is
-  /// non-null it is the SAME object and a miss may move from it instead of
-  /// copying (the legacy Enqueue owns its by-value argument; EnqueueShared
-  /// passes null and pays one copy on the miss path only).
-  Status EnqueueInternal(const core::ServiceRequest& request,
-                         core::ServiceRequest* owned, SharedDoneFn done,
-                         double deadline_sec);
-  void Process(core::ServiceRequest request, SharedDoneFn done,
+  void Process(core::ServiceRequest request, DoneFn done,
                std::string key, double start_sec, double deadline_at_sec,
                int64_t trace_admit_us);
   Result<core::ServiceResponse> Dispatch(const core::ServiceRequest& request);
@@ -320,7 +305,6 @@ class ServeLoop {
 
   std::mutex backend_locks_mu_;
   std::map<std::string, std::unique_ptr<std::mutex>> backend_locks_;
-  std::mutex global_backend_lock_;
 
   // Last member: destroyed first, so workers drain while everything else
   // (counters, locks) is still alive.

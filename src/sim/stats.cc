@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/logging.h"
-
 namespace dflow::sim {
 
 void SummaryStats::Add(double x) {
@@ -54,41 +52,6 @@ std::string SummaryStats::ToString() const {
   os << "n=" << count_ << " mean=" << mean() << " sd=" << StdDev()
      << " min=" << min() << " max=" << max();
   return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, int num_buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / num_buckets),
-      buckets_(static_cast<size_t>(num_buckets), 0) {
-  DFLOW_CHECK(hi > lo);
-  DFLOW_CHECK(num_buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  int idx = static_cast<int>((x - lo_) / width_);
-  idx = std::clamp(idx, 0, static_cast<int>(buckets_.size()) - 1);
-  ++buckets_[static_cast<size_t>(idx)];
-  ++count_;
-}
-
-double Histogram::Quantile(double q) const {
-  DFLOW_CHECK(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) {
-    return lo_;
-  }
-  double target = q * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    double next = cumulative + static_cast<double>(buckets_[i]);
-    if (next >= target) {
-      double fraction =
-          buckets_[i] > 0
-              ? (target - cumulative) / static_cast<double>(buckets_[i])
-              : 0.0;
-      return lo_ + (static_cast<double>(i) + fraction) * width_;
-    }
-    cumulative = next;
-  }
-  return hi_;
 }
 
 }  // namespace dflow::sim

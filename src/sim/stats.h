@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace dflow::sim {
 
@@ -34,30 +33,6 @@ class SummaryStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bucket histogram over [lo, hi); samples outside are clamped into
-/// the edge buckets. Supports quantile estimates by linear interpolation.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int num_buckets);
-
-  void Add(double x);
-  int64_t count() const { return count_; }
-
-  /// Approximate q-quantile, q in [0, 1].
-  double Quantile(double q) const;
-
-  const std::vector<int64_t>& buckets() const { return buckets_; }
-  double bucket_width() const { return width_; }
-  double lo() const { return lo_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> buckets_;
-  int64_t count_ = 0;
 };
 
 }  // namespace dflow::sim

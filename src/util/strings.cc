@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace dflow {
 
@@ -81,6 +82,42 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 bool IsAlnum(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0;
+}
+
+std::string JsonQuote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
 }
 
 }  // namespace dflow

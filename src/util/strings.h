@@ -28,6 +28,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// True if `c` is an ASCII letter or digit.
 bool IsAlnum(char c);
 
+/// `s` as a quoted JSON string: '"', '\\', \n, \t and \r escaped, every
+/// other byte below 0x20 written as \u00XX, all other bytes (UTF-8
+/// included) passed through unchanged.
+std::string JsonQuote(std::string_view s);
+
 }  // namespace dflow
 
 #endif  // DFLOW_UTIL_STRINGS_H_

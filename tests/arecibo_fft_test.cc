@@ -97,7 +97,9 @@ TEST(PowerSpectrumTest, DetectsPeriodicSignal) {
     series[i] = std::sin(2.0 * std::numbers::pi * tone_hz *
                          static_cast<double>(i) / sample_rate);
   }
-  std::vector<double> power = PowerSpectrum(series);
+  FftScratch scratch;
+  std::vector<double> power;
+  PowerSpectrum(series, &scratch, &power);
   // Peak bin: f * N_padded / rate = 64 * 1024 / 1000 ~ 65.5.
   size_t peak = 1;
   for (size_t i = 1; i < power.size(); ++i) {
@@ -111,25 +113,32 @@ TEST(PowerSpectrumTest, DetectsPeriodicSignal) {
 
 TEST(PowerSpectrumTest, DcSuppressed) {
   std::vector<double> series(100, 5.0);  // Pure DC.
-  std::vector<double> power = PowerSpectrum(series);
+  FftScratch scratch;
+  std::vector<double> power;
+  PowerSpectrum(series, &scratch, &power);
   EXPECT_DOUBLE_EQ(power[0], 0.0);
 }
 
-TEST(PowerSpectrumTest, ScratchPathIsBitIdenticalToShim) {
+TEST(PowerSpectrumTest, ReusedScratchIsBitIdenticalToFreshScratch) {
+  // Shrinking then growing through one scratch must leak no state from
+  // the previous call: the reused buffers give the bytes a fresh scratch
+  // gives.
   Rng rng(11);
-  FftScratch scratch;
+  FftScratch reused;
   std::vector<double> power;
-  for (size_t n : {100u, 317u, 1000u}) {
+  for (size_t n : {1000u, 100u, 317u}) {
     std::vector<double> series(n);
     for (auto& x : series) {
       x = rng.Normal();
     }
-    std::vector<double> shim = PowerSpectrum(series);
-    PowerSpectrum(series, &scratch, &power);
-    ASSERT_EQ(power.size(), shim.size());
+    FftScratch fresh;
+    std::vector<double> fresh_power;
+    PowerSpectrum(series, &fresh, &fresh_power);
+    PowerSpectrum(series, &reused, &power);
+    ASSERT_EQ(power.size(), fresh_power.size());
     for (size_t i = 0; i < power.size(); ++i) {
       // Same code path, same bytes -- not a tolerance comparison.
-      EXPECT_EQ(power[i], shim[i]) << "bin " << i << " n=" << n;
+      EXPECT_EQ(power[i], fresh_power[i]) << "bin " << i << " n=" << n;
     }
   }
 }
@@ -175,8 +184,9 @@ TEST(PowerSpectrumPairTest, MatchesSingleSeriesSpectra) {
   FftScratch scratch;
   std::vector<double> power_a, power_b;
   ASSERT_TRUE(PowerSpectrumPair(a, b, &scratch, &power_a, &power_b).ok());
-  std::vector<double> single_a = PowerSpectrum(a);
-  std::vector<double> single_b = PowerSpectrum(b);
+  std::vector<double> single_a, single_b;
+  PowerSpectrum(a, &scratch, &single_a);
+  PowerSpectrum(b, &scratch, &single_b);
   ASSERT_EQ(power_a.size(), single_a.size());
   ASSERT_EQ(power_b.size(), single_b.size());
   // The packed split agrees with the direct transform to FP rounding.

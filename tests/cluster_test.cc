@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "cluster/cluster.h"
 #include "core/web_service.h"
+#include "db/wal.h"
 #include "eventstore/event_store.h"
 #include "eventstore/eventstore_service.h"
 #include "util/status.h"
@@ -318,6 +320,105 @@ TEST(ClusterTest, KillRejoinReplaysJournalAndCatchesUp) {
   std::filesystem::remove_all(dir);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(ClusterTest, TornJournalTailReplaysIntactRecords) {
+  std::string dir = TempDir("torn");
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.replication_factor = 2;
+  config.seed = 23;
+  config.journal_dir = dir;
+  auto cluster = Cluster::Create(config, PlainBackends());
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kKeys = 24;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(
+        (*cluster)->Put("key/" + std::to_string(i), "v" + std::to_string(i))
+            .ok());
+  }
+  ASSERT_TRUE((*cluster)->KillNode("node0").ok());
+
+  const std::string journal = dir + "/cluster_node0.journal";
+  auto frames = db::WalReadAll(journal);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_GE(frames->size(), 2u);
+  const int64_t intact = static_cast<int64_t>(frames->size()) - 1;
+  const std::string full = ReadFile(journal);
+  const size_t last_start = full.size() - 8 - frames->back().size();
+
+  // Cut the last record at every byte offset: rejoin replays exactly the
+  // intact prefix, and owner catch-up restores the one write the cut lost.
+  for (size_t cut = last_start; cut < full.size(); ++cut) {
+    WriteFile(journal, full.substr(0, cut));
+    ClusterStats before = (*cluster)->Stats();
+    ASSERT_TRUE((*cluster)->RejoinNode("node0").ok()) << "cut=" << cut;
+    ClusterStats after = (*cluster)->Stats();
+    EXPECT_EQ(after.journal_replayed - before.journal_replayed, intact)
+        << "cut=" << cut;
+    EXPECT_EQ(after.catchup_shards - before.catchup_shards, 1)
+        << "cut=" << cut;
+    EXPECT_TRUE((*cluster)->ReplicasConverged()) << "cut=" << cut;
+    for (int i = 0; i < kKeys; ++i) {
+      auto value = (*cluster)->Get("key/" + std::to_string(i));
+      ASSERT_TRUE(value.ok()) << "cut=" << cut << " key " << i;
+      EXPECT_EQ(*value, "v" + std::to_string(i)) << "cut=" << cut;
+    }
+    ASSERT_TRUE((*cluster)->KillNode("node0").ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ClusterTest, CorruptJournalRecordLeavesNodeDeadAndUntouched) {
+  std::string dir = TempDir("corrupt");
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.replication_factor = 2;
+  config.seed = 24;
+  config.journal_dir = dir;
+  auto cluster = Cluster::Create(config, PlainBackends());
+  ASSERT_TRUE(cluster.ok());
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE((*cluster)->Put("key/" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE((*cluster)->KillNode("node0").ok());
+  const std::string journal = dir + "/cluster_node0.journal";
+  const std::string intact = ReadFile(journal);
+  auto frames = db::WalReadAll(journal);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_FALSE(frames->empty());
+
+  // A whole frame with a valid CRC, after the intact records, whose
+  // payload is not a replica write: garbage (truncated as a record), and
+  // a real record with one trailing byte.
+  for (const std::string& payload :
+       {std::string("not a cluster record"), frames->back() + "x"}) {
+    WriteFile(journal, intact);
+    {
+      auto wal = db::WalWriter::Open(journal);
+      ASSERT_TRUE(wal.ok());
+      ASSERT_TRUE((*wal)->Append(payload).ok());
+      ASSERT_TRUE((*wal)->Sync().ok());
+    }
+    const std::string state = (*cluster)->DescribeState();
+    const int64_t replayed = (*cluster)->Stats().journal_replayed;
+
+    Status rejoin = (*cluster)->RejoinNode("node0");
+    EXPECT_TRUE(rejoin.IsCorruption()) << rejoin.ToString();
+    EXPECT_FALSE((*cluster)->IsAlive("node0"));
+    EXPECT_EQ((*cluster)->DescribeState(), state);
+    EXPECT_EQ((*cluster)->Stats().journal_replayed, replayed);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ClusterTest, ForwardLossRetriesDeterministically) {
   auto run = [] {
     ClusterConfig config;
@@ -479,8 +580,6 @@ TEST(ClusterTest, FullyDeadShardDistinguishesWriteAndReadErrors) {
   config.num_nodes = 2;
   config.replication_factor = 1;  // One replica per shard: killing both
                                   // nodes kills every shard outright.
-  config.write_quorum = 1;
-  config.read_quorum = 1;
   config.seed = 6;
   auto cluster = Cluster::Create(config, PlainBackends());
   ASSERT_TRUE(cluster.ok());

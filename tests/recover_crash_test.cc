@@ -177,6 +177,45 @@ TEST(CheckpointJournalTest, TornTailTruncationAtEveryByte) {
   std::filesystem::remove(cut_path);
 }
 
+TEST(CheckpointJournalTest, OnDiskBytesArePinned) {
+  // The journal's file format is u32 length + u32 CRC-32 frames (the
+  // db::WalWriter framing) around StageEventRecord::Encode() payloads.
+  // Two sessions, at sync_every 1 then 2, each with a dead letter between
+  // completions (force-synced) and a completion left pending until the
+  // destructor syncs it: the file must keep exactly these bytes.
+  std::string path = TempPath("pinned");
+  std::filesystem::remove(path);
+  for (int sync_every : {1, 2}) {
+    CheckpointJournal::Options options;
+    options.sync_every = sync_every;
+    auto journal = CheckpointJournal::Open(path, options);
+    ASSERT_TRUE(journal.ok());
+    std::string tag = "s" + std::to_string(sync_every);
+    ASSERT_TRUE(
+        (*journal)->Append(CompletedRecord("stage_a", tag + "/in0", 2)).ok());
+    StageEventRecord dead;
+    dead.kind = StageEventRecord::Kind::kDeadLettered;
+    dead.stage = "stage_b";
+    dead.input = tag + "/in1";
+    dead.injected_failures = {true, true, false};
+    dead.error = "INTERNAL: injected transient error";
+    ASSERT_TRUE((*journal)->Append(dead).ok());
+    ASSERT_TRUE(
+        (*journal)->Append(CompletedRecord("stage_c", tag + "/in2", 1)).ok());
+    EXPECT_EQ((*journal)->records_synced(), sync_every == 1 ? 3 : 2);
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str().size(), 472u);
+  EXPECT_EQ(Md5::HexOf(bytes.str()), "af3db4a9353378a26016d399461dd2df");
+  auto replay = JournalReplay::Load(path);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->size(), 6u);
+  EXPECT_EQ(replay->dead_lettered(), 2);
+  std::filesystem::remove(path);
+}
+
 TEST(CheckpointJournalTest, MissingFileIsNotFound) {
   auto replay = JournalReplay::Load(TempPath("never_created"));
   ASSERT_FALSE(replay.ok());

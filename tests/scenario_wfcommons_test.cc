@@ -196,11 +196,21 @@ TEST(WfParseTest, StringEscapesRoundTripThroughEmit) {
   task.name = "line\nbreak";
   task.runtime_sec = 1.0;
   instance.tasks.push_back(task);
-  auto parsed = ParseWfInstance(EmitWfInstance(instance));
+  WorkflowTask controls;
+  controls.id = "t1";
+  controls.name = "back\bspace form\ffeed";
+  controls.runtime_sec = 2.0;
+  instance.tasks.push_back(controls);
+  std::string emitted = EmitWfInstance(instance);
+  EXPECT_NE(emitted.find("back\\u0008space form\\u000cfeed"),
+            std::string::npos);
+  auto parsed = ParseWfInstance(emitted);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->name, instance.name);
+  ASSERT_EQ(parsed->tasks.size(), 2u);
   EXPECT_EQ(parsed->tasks[0].id, task.id);
   EXPECT_EQ(parsed->tasks[0].name, task.name);
+  EXPECT_EQ(parsed->tasks[1].name, controls.name);
 }
 
 // Randomized round-trip: 1000 seeded DAGs, each emitted and re-parsed.

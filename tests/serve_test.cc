@@ -29,6 +29,7 @@ using core::ServiceResponse;
 using obs::LatencyHistogram;
 using serve::CacheConfig;
 using serve::CacheStats;
+using serve::ResponsePtr;
 using serve::ServeConfig;
 using serve::ServeLoop;
 using serve::ShardedResponseCache;
@@ -575,8 +576,7 @@ TEST(ServeLoopTest, DeadlineExpiresInQueue) {
   std::atomic<int> deadline_status{0};
   ASSERT_TRUE(loop.Enqueue(
                       Req("svc/echo"),
-                      [&deadline_status](
-                          const Result<ServiceResponse>& result) {
+                      [&deadline_status](const Result<ResponsePtr>& result) {
                         deadline_status.store(
                             result.status().IsResourceExhausted() ? 1 : -1);
                       },

@@ -1,4 +1,4 @@
-// The zero-alloc / zero-copy serve-hit regression gate. EnqueueShared's
+// The zero-alloc / zero-copy serve-hit regression gate. Enqueue's
 // contract: once the thread-local RequestScratch is warm, a cache hit
 // performs ZERO heap allocations on the calling thread and ZERO response
 // body copies (the callback receives a refcount handle to the SAME
@@ -119,7 +119,7 @@ TEST(ServeZeroAlloc, CacheHitPathAllocatesNothing) {
   // passing `done` by value below does not allocate.)
   const void* last_body_data = nullptr;
   int64_t hits_delivered = 0;
-  ServeLoop::SharedDoneFn done = [&](const Result<ResponsePtr>& result) {
+  ServeLoop::DoneFn done = [&](const Result<ResponsePtr>& result) {
     if (result.ok()) {
       last_body_data = (*result)->body.data();
       ++hits_delivered;
@@ -128,15 +128,14 @@ TEST(ServeZeroAlloc, CacheHitPathAllocatesNothing) {
 
   // One more warm pass so the loop's internals reach steady state before
   // counting starts.
-  ASSERT_TRUE(loop.EnqueueShared(requests[0], done).ok());
+  ASSERT_TRUE(loop.Enqueue(requests[0], done).ok());
 
   const int64_t allocs_before = t_allocs;
   const int64_t frees_before = t_frees;
   const int64_t hit_bytes_before = loop.Stats().hit_alloc_bytes;
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(
-        loop.EnqueueShared(requests[static_cast<size_t>(i) % 4], done)
-            .ok());
+        loop.Enqueue(requests[static_cast<size_t>(i) % 4], done).ok());
   }
   const int64_t allocs_delta = t_allocs - allocs_before;
   const int64_t frees_delta = t_frees - frees_before;

@@ -157,21 +157,5 @@ TEST(SummaryStatsTest, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(stats.Variance(), 0.0);
 }
 
-TEST(HistogramTest, QuantilesAndClamping) {
-  Histogram hist(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    hist.Add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_EQ(hist.count(), 100);
-  EXPECT_NEAR(hist.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(hist.Quantile(0.9), 90.0, 1.5);
-  // Out-of-range samples land in edge buckets.
-  hist.Add(-50.0);
-  hist.Add(500.0);
-  EXPECT_EQ(hist.count(), 102);
-  EXPECT_EQ(hist.buckets().front(), 2);  // 0.5 and the clamped -50.
-  EXPECT_EQ(hist.buckets().back(), 2);
-}
-
 }  // namespace
 }  // namespace dflow::sim

@@ -45,6 +45,20 @@ TEST(StringsTest, ToLowerAndAffixes) {
   EXPECT_FALSE(EndsWith(".arc", "data.arc"));
 }
 
+TEST(StringsTest, JsonQuoteEscapes) {
+  EXPECT_EQ(JsonQuote(""), "\"\"");
+  EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
+  EXPECT_EQ(JsonQuote("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(JsonQuote("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(JsonQuote("l1\nl2\tx\ry"), "\"l1\\nl2\\tx\\ry\"");
+  // Every other control byte is \u00XX (lowercase hex), \b and \f included.
+  EXPECT_EQ(JsonQuote(std::string("\0\x01\b\f\x1f", 5)),
+            "\"\\u0000\\u0001\\u0008\\u000c\\u001f\"");
+  // DEL and UTF-8 multibyte sequences pass through byte for byte.
+  EXPECT_EQ(JsonQuote("\x7f caf\xc3\xa9 \xe2\x82\xac"),
+            "\"\x7f caf\xc3\xa9 \xe2\x82\xac\"");
+}
+
 TEST(UnitsTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(512), "512 B");
   EXPECT_EQ(FormatBytes(1500), "1.50 KB");
