@@ -217,7 +217,6 @@ Status Cluster::Init(const BackendFactory& backends) {
     // With a second node to fail over to, a failing backend's requests go
     // to the successor's registry.
     serve_config.breaker.enabled = config_.num_nodes > 1;
-    serve_config.breaker.seed = config_.seed + node->index;
     node->loop = std::make_unique<serve::ServeLoop>(
         &node->registry, serve_config, node->cache.get());
     if (serve_config.breaker.enabled) {

@@ -40,6 +40,10 @@ Status ValidateMountPrefix(const std::string& prefix) {
   return Status::OK();
 }
 
+std::string_view TopLevelPrefix(std::string_view path) {
+  return path.substr(0, path.find('/'));
+}
+
 Status ServiceRegistry::Mount(const std::string& prefix,
                               std::shared_ptr<WebService> service) {
   if (service == nullptr) {
@@ -50,7 +54,22 @@ Status ServiceRegistry::Mount(const std::string& prefix,
   if (!inserted) {
     return Status::AlreadyExists("prefix '" + prefix + "' already mounted");
   }
+  std::unique_ptr<std::mutex>& lock =
+      mount_locks_[std::string(TopLevelPrefix(prefix))];
+  if (lock == nullptr) {
+    lock = std::make_unique<std::mutex>();
+  }
   return Status::OK();
+}
+
+Result<ServiceResponse> ServiceRegistry::HandleSerialized(
+    const ServiceRequest& request) const {
+  auto it = mount_locks_.find(TopLevelPrefix(request.path));
+  if (it == mount_locks_.end()) {
+    return Handle(request);  // Nothing mounted there: NotFound, no backend.
+  }
+  std::lock_guard<std::mutex> lock(*it->second);
+  return Handle(request);
 }
 
 Result<ServiceResponse> ServiceRegistry::Handle(

@@ -3,7 +3,9 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -86,22 +88,38 @@ class WebService {
 /// otherwise.
 Status ValidateMountPrefix(const std::string& prefix);
 
+/// The first segment of `path` ("cleo" for "cleo/es2/resolve"), as a view
+/// into it: the coarsest mount partition, which breaker health and backend
+/// locks are kept per.
+std::string_view TopLevelPrefix(std::string_view path);
+
 class ServiceRegistry {
  public:
-  /// Mounts `service` at `prefix`. AlreadyExists on duplicate prefixes;
+  /// Mounts `service` at `prefix`, and creates the mutex of its top-level
+  /// prefix if it has none yet. AlreadyExists on duplicate prefixes;
   /// InvalidArgument for a null service or a prefix failing
-  /// ValidateMountPrefix().
+  /// ValidateMountPrefix(). Mount everything before serving: Handle() and
+  /// HandleSerialized() read the tables unlocked.
   Status Mount(const std::string& prefix, std::shared_ptr<WebService> service);
 
   /// Routes "prefix/rest..." to the longest-prefix mounted service with
   /// path "rest...".
   Result<ServiceResponse> Handle(const ServiceRequest& request) const;
 
+  /// Handle() under the mutex of the request's top-level prefix. The
+  /// case-study backends are single-threaded, and this registry owns the
+  /// one mutex per prefix, so calls into a backend never overlap however
+  /// many serve loops (its own, or others failing over to it) call in.
+  /// Nested mounts ("cleo" and "cleo/es2") share their top-level mutex.
+  Result<ServiceResponse> HandleSerialized(const ServiceRequest& request) const;
+
   /// Every mounted endpoint, fully qualified.
   std::vector<std::string> Endpoints() const;
 
  private:
   std::map<std::string, std::shared_ptr<WebService>> mounts_;
+  std::map<std::string, std::unique_ptr<std::mutex>, std::less<>>
+      mount_locks_;
 };
 
 }  // namespace dflow::core

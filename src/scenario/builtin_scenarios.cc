@@ -639,8 +639,6 @@ Result<ScenarioResult> RunBreakerFlash(const ScenarioParams& params) {
   config.breaker.failure_threshold = 5;
   config.breaker.open_sec = 0.04;
   config.breaker.open_max_sec = 0.30;
-  config.breaker.backoff_multiplier = 2.0;
-  config.breaker.seed = params.seed;
   serve::ServeLoop loop(&primary, config);
   DFLOW_RETURN_IF_ERROR(loop.SetReplica("svc", &replica));
 
@@ -685,17 +683,17 @@ Result<ScenarioResult> RunBreakerFlash(const ScenarioParams& params) {
                             ? std::max(0.0, first_close_after_heal - fail_end)
                             : crowd.duration_sec - fail_end;
   // Deterministic identity: the seeded schedule plus the full breaker /
-  // failure-window configuration. Breaker trip timing itself is wall-clock
-  // and lands in the measured columns, not the fingerprint.
+  // failure-window configuration (the window doubles per re-trip). Breaker
+  // trip timing itself is wall-clock and lands in the measured columns,
+  // not the fingerprint.
   Md5 md5;
   md5.Update(ScheduleFingerprint(schedule));
   char knobs[160];
   std::snprintf(knobs, sizeof(knobs),
-                "fail=[%.6f,%.6f) thr=%d open=%.3f/%.3f x%.1f seed=%llu",
+                "fail=[%.6f,%.6f) thr=%d open=%.3f/%.3f x2.0 seed=%llu",
                 fail_start, fail_end, config.breaker.failure_threshold,
                 config.breaker.open_sec, config.breaker.open_max_sec,
-                config.breaker.backoff_multiplier,
-                static_cast<unsigned long long>(config.breaker.seed));
+                static_cast<unsigned long long>(params.seed));
   md5.Update(knobs);
   result.fingerprint = md5.HexDigest();
   result.extra.emplace_back("breaker_opened",

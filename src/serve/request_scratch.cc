@@ -1,7 +1,5 @@
 #include "serve/request_scratch.h"
 
-#include <algorithm>
-
 namespace dflow::serve {
 
 RequestScratch& RequestScratch::ForThisThread() {
@@ -9,40 +7,10 @@ RequestScratch& RequestScratch::ForThisThread() {
   return scratch;
 }
 
-void* RequestScratch::Alloc(size_t bytes) {
-  bytes = (bytes + 7) & ~size_t{7};
-  while (active_block_ < blocks_.size()) {
-    Block& block = blocks_[active_block_];
-    if (block.used + bytes <= block.size) {
-      void* p = block.data.get() + block.used;
-      block.used += bytes;
-      return p;
-    }
-    ++active_block_;
-  }
-  Block fresh;
-  fresh.size = std::max(bytes, kMinBlockBytes);
-  fresh.data = std::make_unique<char[]>(fresh.size);
-  fresh.used = bytes;
-  ++allocations_;
-  allocated_bytes_ += static_cast<int64_t>(fresh.size);
-  blocks_.push_back(std::move(fresh));
-  active_block_ = blocks_.size() - 1;
-  return blocks_.back().data.get();
-}
-
-void RequestScratch::Reset() {
-  for (Block& block : blocks_) {
-    block.used = 0;
-  }
-  active_block_ = 0;
-}
-
 int64_t RequestScratch::NoteStringGrowth(size_t old_cap, size_t new_cap) {
   if (new_cap <= old_cap) {
     return 0;
   }
-  ++allocations_;
   const int64_t delta = static_cast<int64_t>(new_cap - old_cap);
   allocated_bytes_ += delta;
   return delta;

@@ -3,22 +3,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace dflow::serve {
 
-/// Per-thread scratch for the serve front door: a reusable key buffer plus
-/// a bump-pointer arena for request parsing. Everything here amortizes to
-/// zero heap traffic — buffers warm up once and are reused for the life of
-/// the thread — which is what lets the cache-hit path run with 0
-/// allocations (the regression test pins exactly that).
+/// Per-thread scratch for the serve front door: a reusable canonical-key
+/// buffer. It warms up once and is reused for the life of the thread,
+/// which is what lets the cache-hit path run with 0 allocations (the
+/// regression test pins exactly that).
 ///
-/// Instrumented: `allocations()` / `allocated_bytes()` count every backing
-/// acquisition (arena block mallocs and observed key-buffer growth), so a
-/// test can warm the path, snapshot the counters, run N more requests, and
-/// assert the counters did not move.
+/// Instrumented: `allocated_bytes()` counts every observed growth of the
+/// key buffer, so a test can warm the path, snapshot the count, run N more
+/// requests, and assert it did not move.
 ///
 /// NOT thread-safe; use ForThisThread() and keep it on that thread.
 class RequestScratch {
@@ -36,38 +32,17 @@ class RequestScratch {
   /// the instrumentation sees it.
   std::string& KeyBuffer() { return key_buffer_; }
 
-  /// Bump-allocates `bytes` (8-byte aligned) from the arena, acquiring a
-  /// new block only when the current one is exhausted. Pointers stay valid
-  /// until Reset().
-  void* Alloc(size_t bytes);
-
-  /// Rewinds the arena to empty. Blocks are retained for reuse — steady
-  /// state performs no heap traffic.
-  void Reset();
-
   /// Call after an operation that may have grown a tracked string:
-  /// accounts (new_cap - old_cap) as allocated bytes and one allocation.
-  /// Returns the byte delta (0 when the capacity was already warm).
+  /// accounts (new_cap - old_cap) as allocated bytes. Returns the byte
+  /// delta (0 when the capacity was already warm).
   int64_t NoteStringGrowth(size_t old_cap, size_t new_cap);
 
-  /// Backing acquisitions since construction (arena blocks + observed
-  /// string growth events). Zero deltas == allocation-free operation.
-  int64_t allocations() const { return allocations_; }
+  /// Bytes of observed growth since construction. A flat count ==
+  /// allocation-free operation.
   int64_t allocated_bytes() const { return allocated_bytes_; }
 
  private:
-  static constexpr size_t kMinBlockBytes = 4096;
-
-  struct Block {
-    std::unique_ptr<char[]> data;
-    size_t size = 0;
-    size_t used = 0;
-  };
-
   std::string key_buffer_;
-  std::vector<Block> blocks_;
-  size_t active_block_ = 0;  // Blocks before this are full (or rewound).
-  int64_t allocations_ = 0;
   int64_t allocated_bytes_ = 0;
 };
 

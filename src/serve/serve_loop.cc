@@ -14,13 +14,15 @@ namespace dflow::serve {
 
 namespace {
 
-/// First path segment — the coarsest mount partition. Nested mounts
-/// ("cleo" and "cleo/es2") share a lock, which is safe (strictly coarser
-/// than the actual routing partition).
-std::string TopLevelPrefix(const std::string& path) {
-  size_t slash = path.find('/');
-  return slash == std::string::npos ? path : path.substr(0, slash);
-}
+/// Retry-after ladder for shed requests: the k-th consecutive shed hints
+/// min(kRetryHintInitialSec * kRetryHintMultiplier^(k-1), kRetryHintMaxSec).
+constexpr double kRetryHintInitialSec = 0.005;
+constexpr double kRetryHintMultiplier = 2.0;
+constexpr double kRetryHintMaxSec = 0.5;
+
+/// Each consecutive breaker re-trip multiplies the open window by this,
+/// up to BreakerConfig::open_max_sec.
+constexpr double kBreakerBackoffMultiplier = 2.0;
 
 }  // namespace
 
@@ -32,7 +34,6 @@ ServeLoop::ServeLoop(core::ServiceRegistry* registry, ServeConfig config,
       epoch_(std::chrono::steady_clock::now()) {
   DFLOW_CHECK(registry_ != nullptr);
   DFLOW_CHECK(config_.num_workers > 0);
-  breaker_rng_ = Rng(config_.breaker.seed);
   obs::MetricsRegistry& metrics =
       obs::InjectedOrOwned(config_.metrics, &owned_metrics_);
   offered_ = metrics.GetCounter("serve.offered");
@@ -58,9 +59,6 @@ ServeLoop::ServeLoop(core::ServiceRegistry* registry, ServeConfig config,
     DFLOW_CHECK(config_.breaker.failure_threshold >= 1);
     DFLOW_CHECK(config_.breaker.open_sec > 0.0);
     DFLOW_CHECK(config_.breaker.open_max_sec >= config_.breaker.open_sec);
-    DFLOW_CHECK(config_.breaker.backoff_multiplier >= 1.0);
-    DFLOW_CHECK(config_.breaker.jitter_fraction >= 0.0 &&
-                config_.breaker.jitter_fraction < 1.0);
   }
   pool_ = std::make_unique<ThreadPool>(config_.num_workers);
 }
@@ -74,11 +72,10 @@ double ServeLoop::NowSec() const {
 }
 
 double ServeLoop::RetryAfterFor(int64_t consecutive_sheds) const {
-  const core::RetryPolicy& hint = config_.retry_hint;
-  double delay = hint.backoff_initial_sec *
-                 std::pow(hint.backoff_multiplier,
+  double delay = kRetryHintInitialSec *
+                 std::pow(kRetryHintMultiplier,
                           static_cast<double>(consecutive_sheds - 1));
-  return std::min(delay, hint.backoff_max_sec);
+  return std::min(delay, kRetryHintMaxSec);
 }
 
 obs::LatencyHistogram ServeLoop::Latencies() const {
@@ -86,26 +83,11 @@ obs::LatencyHistogram ServeLoop::Latencies() const {
 }
 
 Result<core::ServiceResponse> ServeLoop::DispatchTo(
-    core::ServiceRegistry* registry, const core::ServiceRequest& request,
-    const std::string& lock_key) {
-  switch (config_.locking) {
-    case ServeConfig::BackendLocking::kNone:
-      return registry->Handle(request);
-    case ServeConfig::BackendLocking::kPerMount: {
-      std::mutex* mount_lock = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(backend_locks_mu_);
-        auto& slot = backend_locks_[lock_key];
-        if (slot == nullptr) {
-          slot = std::make_unique<std::mutex>();
-        }
-        mount_lock = slot.get();
-      }
-      std::lock_guard<std::mutex> lock(*mount_lock);
-      return registry->Handle(request);
-    }
+    core::ServiceRegistry* registry, const core::ServiceRequest& request) {
+  if (config_.locking == ServeConfig::BackendLocking::kNone) {
+    return registry->Handle(request);
   }
-  return Status::Internal("unreachable: unknown BackendLocking");
+  return registry->HandleSerialized(request);
 }
 
 void ServeLoop::TripLocked(MountHealth& health, const std::string& prefix) {
@@ -115,15 +97,12 @@ void ServeLoop::TripLocked(MountHealth& health, const std::string& prefix) {
   const ServeConfig::BreakerConfig& b = config_.breaker;
   double window = b.open_sec;
   for (int i = 1; i < health.consecutive_trips; ++i) {
-    window *= b.backoff_multiplier;
+    window *= kBreakerBackoffMultiplier;
     if (window >= b.open_max_sec) {
       break;
     }
   }
   window = std::min(window, b.open_max_sec);
-  if (b.jitter_fraction > 0.0) {
-    window *= 1.0 + b.jitter_fraction * (2.0 * breaker_rng_.NextDouble() - 1.0);
-  }
   health.open_until_sec = NowSec() + window;
   breaker_opened_->Add(1);
   if (obs::Tracer* tracer = ActiveTracer()) {
@@ -176,10 +155,10 @@ void ServeLoop::NoteProbeResult(const std::string& prefix, bool ok) {
 
 Result<core::ServiceResponse> ServeLoop::Dispatch(
     const core::ServiceRequest& request) {
-  const std::string prefix = TopLevelPrefix(request.path);
   if (!config_.breaker.enabled) {
-    return DispatchTo(registry_, request, prefix);
+    return DispatchTo(registry_, request);
   }
+  const std::string prefix(core::TopLevelPrefix(request.path));
   enum class Route { kPrimary, kProbe, kReplica, kReject };
   Route route = Route::kPrimary;
   core::ServiceRegistry* replica = nullptr;
@@ -225,23 +204,21 @@ Result<core::ServiceResponse> ServeLoop::Dispatch(
         tracer->InstantEvent("failover", "serve",
                              {{"mount", prefix}, {"path", request.path}});
       }
-      // The replica is its own single-threaded backend: serialize it under
-      // its own key, never the (possibly wedged) primary's lock.
-      return DispatchTo(replica, request, "\x01replica/" + prefix);
+      // The replica registry's own mount lock serializes this call with
+      // its owner loop's, never with the (possibly wedged) primary's.
+      return DispatchTo(replica, request);
     }
     case Route::kProbe: {
       breaker_probes_->Add(1);
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("breaker_probe", "serve", {{"mount", prefix}});
       }
-      Result<core::ServiceResponse> result =
-          DispatchTo(registry_, request, prefix);
+      Result<core::ServiceResponse> result = DispatchTo(registry_, request);
       NoteProbeResult(prefix, result.ok());
       return result;
     }
     case Route::kPrimary: {
-      Result<core::ServiceResponse> result =
-          DispatchTo(registry_, request, prefix);
+      Result<core::ServiceResponse> result = DispatchTo(registry_, request);
       NotePrimaryResult(prefix, result.ok());
       return result;
     }

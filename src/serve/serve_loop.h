@@ -11,14 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "core/flow_runner.h"  // core::RetryPolicy — retry-after hint shape.
 #include "core/web_service.h"
 #include "obs/latency_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/response_cache.h"
 #include "util/result.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace dflow::serve {
@@ -31,24 +29,14 @@ struct ServeConfig {
   /// overload the queue (and therefore the queueing delay of admitted
   /// requests) stays capped and the shed fraction rises instead.
   size_t max_queue_depth = 64;
-  /// Retry-after hints for shed requests reuse the RetryPolicy shape from
-  /// the fault-handling PR: the k-th CONSECUTIVE shed suggests
-  ///   min(backoff_initial_sec * multiplier^(k-1), backoff_max_sec),
-  /// so a client herd backs off harder the longer the overload lasts; any
-  /// successful admission resets the ladder. (`max_attempts` and
-  /// `jitter_fraction` are unused here — jitter belongs client-side.)
-  core::RetryPolicy retry_hint{/*max_attempts=*/1,
-                               /*backoff_initial_sec=*/0.005,
-                               /*backoff_multiplier=*/2.0,
-                               /*backoff_max_sec=*/0.5,
-                               /*jitter_fraction=*/0.0};
-
   /// How backend Handle() calls are serialized. The case-study backends
   /// (db::Database and friends) are single-threaded by design — the paper's
   /// services ran one synchronous web server each — so the default takes
-  /// one lock per top-level mount prefix: requests to DIFFERENT services
-  /// run concurrently, requests to the same service serialize. kNone is
-  /// for backends that are themselves thread-safe.
+  /// the called registry's lock for the top-level mount prefix
+  /// (core::ServiceRegistry::HandleSerialized): requests to DIFFERENT
+  /// services run concurrently, requests to the same service serialize,
+  /// also across loops. kNone is for backends that are themselves
+  /// thread-safe.
   enum class BackendLocking { kPerMount, kNone };
   BackendLocking locking = BackendLocking::kPerMount;
 
@@ -57,11 +45,10 @@ struct ServeConfig {
   /// When enabled, every top-level mount prefix carries a circuit breaker:
   ///
   ///   closed --(failure_threshold CONSECUTIVE backend errors)--> open
-  ///   open   --(seeded-backoff window elapses; next request probes)-->
-  ///            half-open
+  ///   open   --(open window elapses; next request probes)--> half-open
   ///   half-open --(probe succeeds)--> closed
-  ///             --(probe fails)----> open, with the window grown by
-  ///                                  backoff_multiplier (capped)
+  ///             --(probe fails)----> open, with the window doubled
+  ///                                  (capped)
   ///
   /// While a mount is open (or a probe is in flight), its requests are
   /// routed to the replica backend registered via SetReplica() — the
@@ -76,11 +63,6 @@ struct ServeConfig {
     /// consecutive re-trips double it.
     double open_sec = 0.25;
     double open_max_sec = 2.0;
-    double backoff_multiplier = 2.0;
-    /// Optional +/- jitter on the window, drawn from `seed` — determinism
-    /// knob, same contract as core::RetryPolicy. In [0, 1).
-    double jitter_fraction = 0.0;
-    uint64_t seed = 42;
   };
   BreakerConfig breaker;
 
@@ -172,9 +154,12 @@ class ServeLoop {
   /// (done will run on a worker); ResourceExhausted if shed, with a
   /// retry-after hint in the message and in Stats().last_retry_after_sec —
   /// `done` is NOT invoked for shed requests, the return Status is the
-  /// whole answer. With `deadline_sec` > 0 the request has a deadline that
-  /// many seconds after admission: if it is still waiting in the queue
-  /// then, `done` gets ResourceExhausted and the backend is never called.
+  /// whole answer. The k-th CONSECUTIVE shed hints min(5 ms * 2^(k-1),
+  /// 0.5 s), so a client herd backs off harder the longer the overload
+  /// lasts; any admission resets the ladder (jitter belongs client-side).
+  /// With `deadline_sec` > 0 the request has a deadline that many seconds
+  /// after admission: if it is still waiting in the queue then, `done`
+  /// gets ResourceExhausted and the backend is never called.
   ///
   /// A cache hit performs ZERO heap allocations and ZERO response-body
   /// copies — the canonical key is built into a warmed thread-local buffer
@@ -201,13 +186,14 @@ class ServeLoop {
   /// Registers a replica backend for the top-level mount `prefix` (e.g.
   /// "cleo" for the mounts "cleo" and "cleo/es2"). While the prefix's
   /// breaker is open, its requests are dispatched to `replica` instead of
-  /// the primary registry. The replica must outlive the loop and is
-  /// serialized under its own per-mount lock. InvalidArgument on a null
-  /// replica or a prefix failing core::ValidateMountPrefix() — the same
-  /// rules Mount() enforces — or containing any '/' (breaker health is
-  /// tracked per top-level prefix). Replicas may be registered regardless of
-  /// whether the breaker is enabled; without the breaker they are never
-  /// consulted.
+  /// the primary registry. The replica must outlive the loop; its calls
+  /// take the replica registry's own mount lock, the one its owner loop
+  /// takes, so failover never runs a backend twice at once.
+  /// InvalidArgument on a null replica or a prefix failing
+  /// core::ValidateMountPrefix() — the same rules Mount() enforces — or
+  /// containing any '/' (breaker health is tracked per top-level prefix).
+  /// Replicas may be registered regardless of whether the breaker is
+  /// enabled; without the breaker they are never consulted.
   Status SetReplica(const std::string& prefix,
                     core::ServiceRegistry* replica);
 
@@ -249,15 +235,14 @@ class ServeLoop {
                std::string key, double start_sec, double deadline_at_sec,
                int64_t trace_admit_us);
   Result<core::ServiceResponse> Dispatch(const core::ServiceRequest& request);
-  /// The pre-breaker dispatch: serialize per `lock_key` (per config) and
-  /// call the given registry.
+  /// The pre-breaker dispatch: call the given registry, serialized by its
+  /// mount lock unless config says kNone.
   Result<core::ServiceResponse> DispatchTo(core::ServiceRegistry* registry,
-                                           const core::ServiceRequest& request,
-                                           const std::string& lock_key);
+                                           const core::ServiceRequest& request);
   void NotePrimaryResult(const std::string& prefix, bool ok);
   void NoteProbeResult(const std::string& prefix, bool ok);
   /// Requires health_mu_. Opens the breaker and schedules the next probe
-  /// window with seeded exponential backoff.
+  /// window with exponential backoff.
   void TripLocked(MountHealth& health, const std::string& prefix);
   double RetryAfterFor(int64_t consecutive_sheds) const;
   /// The configured tracer if it is currently enabled, else null — so hot
@@ -298,16 +283,12 @@ class ServeLoop {
   obs::Counter* breaker_probes_ = nullptr;
   obs::Counter* failover_requests_ = nullptr;
   obs::Counter* breaker_rejected_ = nullptr;
-  mutable std::mutex health_mu_;  // Guards the three members below.
+  mutable std::mutex health_mu_;  // Guards the two members below.
   std::map<std::string, MountHealth> mount_health_;
   std::map<std::string, core::ServiceRegistry*> replicas_;
-  Rng breaker_rng_{42};  // Re-seeded from config in the constructor.
-
-  std::mutex backend_locks_mu_;
-  std::map<std::string, std::unique_ptr<std::mutex>> backend_locks_;
 
   // Last member: destroyed first, so workers drain while everything else
-  // (counters, locks) is still alive.
+  // (counters, breaker state) is still alive.
   std::unique_ptr<ThreadPool> pool_;
 };
 

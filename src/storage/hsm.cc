@@ -56,61 +56,82 @@ Status HsmCache::MakeRoom(int64_t bytes) {
   return Status::OK();
 }
 
-void HsmCache::InstallInCache(const std::string& file, int64_t bytes) {
+void HsmCache::InstallInCache(const std::string& file, int64_t bytes,
+                              std::optional<std::string> content) {
   lru_.push_front(file);
-  cache_entries_[file] = Entry{bytes, lru_.begin()};
+  entries_[file] = Entry{bytes, lru_.begin(), std::move(content)};
   DFLOW_CHECK_OK(cache_disk_->Allocate(bytes));
 }
 
 void HsmCache::Touch(const std::string& file) {
-  auto it = cache_entries_.find(file);
-  DFLOW_CHECK(it != cache_entries_.end());
+  auto it = entries_.find(file);
+  DFLOW_CHECK(it != entries_.end());
   lru_.erase(it->second.lru_it);
   lru_.push_front(file);
   it->second.lru_it = lru_.begin();
 }
 
 void HsmCache::Evict(const std::string& file) {
-  auto it = cache_entries_.find(file);
-  if (it == cache_entries_.end()) {
+  auto it = entries_.find(file);
+  if (it == entries_.end()) {
     return;
   }
   DFLOW_CHECK_OK(cache_disk_->Free(it->second.bytes));
   lru_.erase(it->second.lru_it);
-  cache_entries_.erase(it);
-  disk_contents_.erase(file);
+  entries_.erase(it);
   evictions_->Add(1);
 }
 
 Status HsmCache::Put(const std::string& file, int64_t bytes,
                      std::function<void()> on_complete) {
+  return Land(file, bytes, std::nullopt,
+              [cb = std::move(on_complete)](int64_t /*stored*/) {
+                if (cb) {
+                  cb();
+                }
+              });
+}
+
+Status HsmCache::PutContent(const std::string& file, std::string content,
+                            std::function<void(int64_t)> on_complete) {
+  const int64_t raw_bytes = static_cast<int64_t>(content.size());
+  return Land(file, raw_bytes, std::move(content), std::move(on_complete));
+}
+
+Status HsmCache::Land(const std::string& file, int64_t bytes,
+                      std::optional<std::string> content,
+                      std::function<void(int64_t)> on_durable) {
   DFLOW_RETURN_IF_ERROR(MakeRoom(bytes));
   // Disk landing then write-through to tape; completion = tape durable.
-  InstallInCache(file, bytes);
+  // The disk tier keeps the RAW copy (capacity traded for hit latency);
+  // compression happens inside the tape library.
+  InstallInCache(file, bytes, content);
   double disk_time = cache_disk_->AccessTime(bytes);
   if (obs::Tracer* tracer = ActiveTracer()) {
     // Span covers disk landing through tape durability.
     double start_sec = simulation_->Now();
-    auto inner = std::move(on_complete);
-    on_complete = [this, tracer, file, bytes, start_sec,
-                   cb = std::move(inner)]() mutable {
+    on_durable = [this, tracer, file, bytes, start_sec,
+                  cb = std::move(on_durable)](int64_t stored) {
       double end_sec = simulation_->Now();
       tracer->CompleteEvent("hsm.archive_put", "storage", UsOf(start_sec),
                             UsOf(end_sec - start_sec),
                             {{"file", file},
                              {"bytes", std::to_string(bytes)}});
       if (cb) {
-        cb();
+        cb(stored);
       }
     };
   }
-  auto cb = std::make_shared<std::function<void()>>(std::move(on_complete));
-  simulation_->Schedule(disk_time, [this, file, bytes, cb] {
-    Status s = tape_->Write(file, bytes, [cb] {
-      if (*cb) {
-        (*cb)();
-      }
-    });
+  simulation_->Schedule(disk_time, [this, file, bytes,
+                                    content = std::move(content),
+                                    cb = std::move(on_durable)]() mutable {
+    Status s = content.has_value()
+                   ? tape_->WriteContent(file, std::move(*content), cb)
+                   : tape_->Write(file, bytes, [cb, bytes] {
+                       if (cb) {
+                         cb(bytes);
+                       }
+                     });
     if (!s.ok()) {
       DFLOW_LOG(Error) << "HSM tape write of '" << file
                        << "' failed: " << s.ToString();
@@ -119,253 +140,160 @@ Status HsmCache::Put(const std::string& file, int64_t bytes,
   return Status::OK();
 }
 
-Status HsmCache::Get(const std::string& file,
-                     std::function<void(int64_t)> on_complete) {
-  return GetChecked(
-      file, [file, cb = std::move(on_complete)](Result<int64_t> bytes) {
-        if (!bytes.ok()) {
-          DFLOW_LOG(Error) << "HSM: recall of '" << file
-                           << "' abandoned: " << bytes.status().ToString();
-          return;
-        }
-        if (cb) {
-          cb(*bytes);
-        }
-      });
-}
-
 Status HsmCache::GetChecked(const std::string& file,
                             std::function<void(Result<int64_t>)> on_complete) {
-  auto it = cache_entries_.find(file);
-  if (it != cache_entries_.end()) {
-    hits_->Add(1);
-    Touch(file);
-    int64_t bytes = it->second.bytes;
-    double access_time = cache_disk_->AccessTime(bytes);
-    if (obs::Tracer* tracer = ActiveTracer()) {
-      // Duration is known up front; emit the span at schedule time.
-      tracer->CompleteEvent("hsm.cache_read", "storage",
-                            UsOf(simulation_->Now()), UsOf(access_time),
-                            {{"file", file},
-                             {"bytes", std::to_string(bytes)}});
-    }
-    simulation_->Schedule(access_time, [bytes, cb = std::move(on_complete)] {
-      if (cb) {
-        cb(bytes);
-      }
-    });
-    return Status::OK();
-  }
-  if (!tape_->Contains(file)) {
-    return Status::NotFound("HSM: no file '" + file + "'");
-  }
-  misses_->Add(1);
-  DFLOW_ASSIGN_OR_RETURN(int64_t bytes, tape_->FileSize(file));
-  DFLOW_RETURN_IF_ERROR(MakeRoom(bytes));
-  InstallInCache(file, bytes);
-  if (obs::Tracer* tracer = ActiveTracer()) {
-    // One span covers the whole recall, bad-block retries included.
-    double start_sec = simulation_->Now();
-    auto inner = std::move(on_complete);
-    on_complete = [this, tracer, file, start_sec,
-                   cb = std::move(inner)](Result<int64_t> result) mutable {
-      double end_sec = simulation_->Now();
-      tracer->CompleteEvent("hsm.recall", "storage", UsOf(start_sec),
-                            UsOf(end_sec - start_sec),
-                            {{"file", file},
-                             {"outcome", result.ok() ? "ok" : "error"}});
-      if (cb) {
-        cb(std::move(result));
-      }
-    };
-  }
-  RecallWithRetry(file, 0, std::move(on_complete));
-  return Status::OK();
-}
-
-Status HsmCache::PutContent(const std::string& file, std::string content,
-                            std::function<void(int64_t)> on_complete) {
-  const int64_t raw_bytes = static_cast<int64_t>(content.size());
-  DFLOW_RETURN_IF_ERROR(MakeRoom(raw_bytes));
-  // The disk tier keeps the RAW copy (capacity traded for hit latency);
-  // compression happens inside the tape library on write-through.
-  InstallInCache(file, raw_bytes);
-  disk_contents_[file] = content;
-  double disk_time = cache_disk_->AccessTime(raw_bytes);
-  auto cb =
-      std::make_shared<std::function<void(int64_t)>>(std::move(on_complete));
-  simulation_->Schedule(
-      disk_time, [this, file, content = std::move(content), cb]() mutable {
-        Status s = tape_->WriteContent(
-            file, std::move(content), [cb](int64_t stored) {
-              if (*cb) {
-                (*cb)(stored);
-              }
-            });
-        if (!s.ok()) {
-          DFLOW_LOG(Error) << "HSM tape content write of '" << file
-                           << "' failed: " << s.ToString();
-        }
-      });
-  return Status::OK();
+  return Fetch(file, /*want_content=*/false,
+               [cb = std::move(on_complete)](Result<Fetched> got) {
+                 if (!cb) {
+                   return;
+                 }
+                 if (!got.ok()) {
+                   cb(got.status());
+                   return;
+                 }
+                 cb(got->bytes);
+               });
 }
 
 Status HsmCache::GetContentChecked(
     const std::string& file,
     std::function<void(Result<std::string>)> done) {
-  auto it = cache_entries_.find(file);
-  auto content_it = disk_contents_.find(file);
-  if (it != cache_entries_.end() && content_it != disk_contents_.end()) {
+  return Fetch(file, /*want_content=*/true,
+               [cb = std::move(done)](Result<Fetched> got) {
+                 if (!cb) {
+                   return;
+                 }
+                 if (!got.ok()) {
+                   cb(got.status());
+                   return;
+                 }
+                 cb(std::move(got->content));
+               });
+}
+
+Status HsmCache::Fetch(const std::string& file, bool want_content,
+                       std::function<void(Result<Fetched>)> done) {
+  auto it = entries_.find(file);
+  if (it != entries_.end() &&
+      (!want_content || it->second.content.has_value())) {
     hits_->Add(1);
     Touch(file);
-    int64_t bytes = it->second.bytes;
-    double access_time = cache_disk_->AccessTime(bytes);
+    Fetched fetched;
+    fetched.bytes = it->second.bytes;
+    if (want_content) {
+      fetched.content = *it->second.content;
+    }
+    double access_time = cache_disk_->AccessTime(fetched.bytes);
     if (obs::Tracer* tracer = ActiveTracer()) {
+      // Duration is known up front; emit the span at schedule time.
       tracer->CompleteEvent("hsm.cache_read", "storage",
                             UsOf(simulation_->Now()), UsOf(access_time),
                             {{"file", file},
-                             {"bytes", std::to_string(bytes)}});
+                             {"bytes", std::to_string(fetched.bytes)}});
     }
-    simulation_->Schedule(access_time, [content = content_it->second,
+    simulation_->Schedule(access_time, [fetched = std::move(fetched),
                                         cb = std::move(done)]() mutable {
-      if (cb) {
-        cb(std::move(content));
-      }
+      cb(std::move(fetched));
     });
     return Status::OK();
   }
-  if (!tape_->HasContent(file)) {
-    return Status::NotFound("HSM: no content '" + file + "'");
+  Result<int64_t> size =
+      want_content ? tape_->RawContentSize(file) : tape_->FileSize(file);
+  if (!size.ok()) {
+    return Status::NotFound(std::string("HSM: no ") +
+                            (want_content ? "content" : "file") + " '" +
+                            file + "'");
   }
   misses_->Add(1);
-  DFLOW_ASSIGN_OR_RETURN(int64_t raw_bytes, tape_->RawContentSize(file));
-  DFLOW_RETURN_IF_ERROR(MakeRoom(raw_bytes));
-  InstallInCache(file, raw_bytes);
-  if (obs::Tracer* tracer = ActiveTracer()) {
-    double start_sec = simulation_->Now();
-    auto inner = std::move(done);
-    done = [this, tracer, file, start_sec,
-            cb = std::move(inner)](Result<std::string> result) mutable {
-      double end_sec = simulation_->Now();
-      tracer->CompleteEvent("hsm.recall", "storage", UsOf(start_sec),
-                            UsOf(end_sec - start_sec),
-                            {{"file", file},
-                             {"outcome", result.ok() ? "ok" : "error"}});
-      if (cb) {
-        cb(std::move(result));
-      }
-    };
+  const int64_t bytes = *size;
+  if (it != entries_.end()) {
+    // Cached without the bytes a content read needs (a size-only read
+    // installed it, or its content recall is still in flight): drop that
+    // copy and recall afresh.
+    Evict(file);
   }
-  // Wrap to install the recalled bytes on success, roll the cache
-  // accounting back on total failure.
-  auto wrapped = [this, file,
-                  cb = std::move(done)](Result<std::string> result) mutable {
-    if (result.ok()) {
-      disk_contents_[file] = *result;
-    } else {
-      Evict(file);  // Undo the speculative installation; evictions_ is
-                    // bumped, matching the size-only path's accounting.
-    }
-    if (cb) {
-      cb(std::move(result));
-    }
-  };
-  RecallContentWithRetry(file, 0, std::move(wrapped));
+  DFLOW_RETURN_IF_ERROR(MakeRoom(bytes));
+  InstallInCache(file, bytes, std::nullopt);
+  obs::Tracer* tracer = ActiveTracer();
+  double start_sec = simulation_->Now();
+  RecallWithRetry(
+      file, want_content, 0,
+      [this, file, want_content, bytes, tracer, start_sec,
+       cb = std::move(done)](Result<std::string> got) mutable {
+        if (!got.ok()) {
+          Evict(file);  // A failed recall leaves nothing in the cache.
+        } else if (auto entry = entries_.find(file);
+                   want_content && entry != entries_.end()) {
+          entry->second.content = *got;
+        }
+        if (tracer != nullptr) {
+          // One span covers the whole recall, bad-block retries included.
+          double end_sec = simulation_->Now();
+          tracer->CompleteEvent("hsm.recall", "storage", UsOf(start_sec),
+                                UsOf(end_sec - start_sec),
+                                {{"file", file},
+                                 {"outcome", got.ok() ? "ok" : "error"}});
+        }
+        if (!got.ok()) {
+          cb(got.status());
+          return;
+        }
+        cb(Fetched{bytes, std::move(*got)});
+      });
   return Status::OK();
 }
 
-void HsmCache::RecallContentWithRetry(
-    const std::string& file, int attempt,
-    std::function<void(Result<std::string>)> on_complete) {
-  Status s = tape_->ReadContentChecked(
-      file, [this, file, attempt,
-             cb = std::move(on_complete)](Result<std::string> content) mutable {
-        if (content.ok()) {
-          if (cb) {
-            cb(std::move(content));
+void HsmCache::RecallWithRetry(const std::string& file, bool want_content,
+                               int attempt,
+                               std::function<void(Result<std::string>)> done) {
+  auto on_read = [this, file, want_content, attempt,
+                  cb = std::move(done)](Result<std::string> got) mutable {
+    if (got.ok()) {
+      cb(std::move(got));
+      return;
+    }
+    read_faults_->Add(1);
+    if (obs::Tracer* tracer = ActiveTracer()) {
+      tracer->InstantEvent("hsm.read_fault", "storage",
+                           {{"file", file},
+                            {"attempt", std::to_string(attempt)}});
+    }
+    // Only IOError (a bad block) is operator-repairable; a Corruption
+    // means the stored frames themselves are rotten — re-reading the same
+    // tape returns the same bytes, so fail fast.
+    if (got.status().code() != StatusCode::kIOError ||
+        attempt + 1 >= fault_policy_.max_read_attempts) {
+      read_failures_->Add(1);
+      cb(std::move(got));
+      return;
+    }
+    // An operator repairs the medium, then the recall is retried.
+    DFLOW_LOG(Warning) << "HSM: recall of '" << file << "' hit "
+                       << got.status().ToString()
+                       << "; operator repair scheduled";
+    simulation_->Schedule(
+        fault_policy_.operator_repair_seconds,
+        [this, file, want_content, attempt, cb = std::move(cb)]() mutable {
+          operator_repairs_->Add(1);
+          if (obs::Tracer* tracer = ActiveTracer()) {
+            tracer->InstantEvent("hsm.operator_repair", "storage",
+                                 {{"file", file}});
           }
-          return;
-        }
-        read_faults_->Add(1);
-        if (obs::Tracer* tracer = ActiveTracer()) {
-          tracer->InstantEvent("hsm.read_fault", "storage",
-                               {{"file", file},
-                                {"attempt", std::to_string(attempt)}});
-        }
-        // Only IOError (bad block) is operator-repairable; Corruption
-        // means the stored frames themselves are rotten — re-reading the
-        // same tape returns the same bytes, so fail fast.
-        const bool retryable =
-            content.status().code() == StatusCode::kIOError;
-        if (!retryable || attempt + 1 >= fault_policy_.max_read_attempts) {
-          read_failures_->Add(1);
-          if (cb) {
-            cb(std::move(content));
-          }
-          return;
-        }
-        DFLOW_LOG(Warning) << "HSM: content recall of '" << file << "' hit "
-                           << content.status().ToString()
-                           << "; operator repair scheduled";
-        simulation_->Schedule(
-            fault_policy_.operator_repair_seconds,
-            [this, file, attempt, cb = std::move(cb)]() mutable {
-              operator_repairs_->Add(1);
-              if (obs::Tracer* tracer = ActiveTracer()) {
-                tracer->InstantEvent("hsm.operator_repair", "storage",
-                                     {{"file", file}});
-              }
-              tape_->RepairBadBlock(file);
-              RecallContentWithRetry(file, attempt + 1, std::move(cb));
-            });
-      });
-  DFLOW_CHECK_OK(s);
-}
-
-void HsmCache::RecallWithRetry(
-    const std::string& file, int attempt,
-    std::function<void(Result<int64_t>)> on_complete) {
-  Status s = tape_->ReadChecked(
-      file, [this, file, attempt,
-             cb = std::move(on_complete)](Result<int64_t> bytes) mutable {
-        if (bytes.ok()) {
-          if (cb) {
-            cb(std::move(bytes));
-          }
-          return;
-        }
-        read_faults_->Add(1);
-        if (obs::Tracer* tracer = ActiveTracer()) {
-          tracer->InstantEvent("hsm.read_fault", "storage",
-                               {{"file", file},
-                                {"attempt", std::to_string(attempt)}});
-        }
-        if (attempt + 1 >= fault_policy_.max_read_attempts) {
-          read_failures_->Add(1);
-          if (cb) {
-            cb(std::move(bytes));
-          }
-          return;
-        }
-        // An operator repairs the medium, then the recall is retried.
-        DFLOW_LOG(Warning) << "HSM: recall of '" << file << "' hit "
-                           << bytes.status().ToString()
-                           << "; operator repair scheduled";
-        simulation_->Schedule(
-            fault_policy_.operator_repair_seconds,
-            [this, file, attempt, cb = std::move(cb)]() mutable {
-              operator_repairs_->Add(1);
-              if (obs::Tracer* tracer = ActiveTracer()) {
-                tracer->InstantEvent("hsm.operator_repair", "storage",
-                                     {{"file", file}});
-              }
-              tape_->RepairBadBlock(file);
-              RecallWithRetry(file, attempt + 1, std::move(cb));
-            });
-      });
-  // ReadChecked fails synchronously only for absent files, and presence
-  // was verified before the first recall; tape files are never deleted.
-  DFLOW_CHECK_OK(s);
+          tape_->RepairBadBlock(file);
+          RecallWithRetry(file, want_content, attempt + 1, std::move(cb));
+        });
+  };
+  // The tape read fails up front only for absent files, and presence was
+  // verified before the first recall; tape files are never deleted.
+  if (want_content) {
+    DFLOW_CHECK_OK(tape_->ReadContentChecked(file, std::move(on_read)));
+    return;
+  }
+  DFLOW_CHECK_OK(tape_->ReadChecked(
+      file, [on_read = std::move(on_read)](Result<int64_t> bytes) mutable {
+        on_read(bytes.ok() ? Result<std::string>(std::string())
+                           : Result<std::string>(bytes.status()));
+      }));
 }
 
 }  // namespace dflow::storage

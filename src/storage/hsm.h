@@ -6,6 +6,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
@@ -43,16 +44,11 @@ class HsmCache {
              std::function<void()> on_complete);
 
   /// Reads a file. A cache hit costs one disk access; a miss recalls from
-  /// tape and installs the file in the cache. `on_complete` receives the
-  /// byte count. Tape faults are retried per the fault policy; if retries
-  /// are exhausted the error is logged and the callback dropped —
-  /// fault-aware callers use GetChecked.
-  Status Get(const std::string& file,
-             std::function<void(int64_t)> on_complete);
-
-  /// Fault-aware read: like Get, but the callback receives a Result — on
-  /// a recall whose bad-block retries are exhausted it gets the IOError
-  /// instead of silence.
+  /// tape and installs the file in the cache. The callback receives the
+  /// byte count, or the error of a recall that failed for good: IOError
+  /// (bad blocks) is retried after an operator repair up to the fault
+  /// policy's attempts; anything else fails fast. A failed recall leaves
+  /// the file out of the cache.
   Status GetChecked(const std::string& file,
                     std::function<void(Result<int64_t>)> on_complete);
 
@@ -63,13 +59,11 @@ class HsmCache {
   Status PutContent(const std::string& file, std::string content,
                     std::function<void(int64_t)> on_complete);
 
-  /// Content-bearing fault-aware read. A cache hit streams the raw copy
-  /// from disk (no decompression — the hot tier stays raw). A miss recalls
-  /// from tape: IOError recalls (bad blocks) are retried per the fault
-  /// policy exactly like GetChecked; a Corruption result (a compressed
-  /// frame's CRC failed) fails fast — operator repair fixes media, not
-  /// rot — and counts as a read failure. On total failure the cache
-  /// installation is rolled back.
+  /// Content-bearing GetChecked: a hit streams the raw copy from disk (no
+  /// decompression — the hot tier stays raw); a miss recalls and decodes
+  /// it from tape, with the same retries and rollback. A Corruption result
+  /// (a compressed frame's CRC failed) fails fast — operator repair fixes
+  /// media, not rot.
   Status GetContentChecked(const std::string& file,
                            std::function<void(Result<std::string>)> done);
 
@@ -96,7 +90,7 @@ class HsmCache {
   void Evict(const std::string& file);
 
   bool InCache(const std::string& file) const {
-    return cache_entries_.count(file) > 0;
+    return entries_.count(file) > 0;
   }
 
   int64_t hits() const { return hits_->Value(); }
@@ -110,29 +104,52 @@ class HsmCache {
   int64_t evictions() const { return evictions_->Value(); }
 
  private:
+  /// What a read delivers: the byte count, plus the raw bytes when content
+  /// was asked for.
+  struct Fetched {
+    int64_t bytes = 0;
+    std::string content;
+  };
+
   /// Frees cache space for `bytes`, evicting least-recently-used files.
   Status MakeRoom(int64_t bytes);
-  void InstallInCache(const std::string& file, int64_t bytes);
+  void InstallInCache(const std::string& file, int64_t bytes,
+                      std::optional<std::string> content);
   void Touch(const std::string& file);
-  void RecallWithRetry(const std::string& file, int attempt,
-                       std::function<void(Result<int64_t>)> on_complete);
-  void RecallContentWithRetry(
-      const std::string& file, int attempt,
-      std::function<void(Result<std::string>)> on_complete);
+  /// The landing step behind Put and PutContent: room, the disk copy, and
+  /// after the disk write the tape write (content-bearing when `content`
+  /// is set), under one "hsm.archive_put" span. `on_durable` gets the
+  /// stored tape byte count.
+  Status Land(const std::string& file, int64_t bytes,
+              std::optional<std::string> content,
+              std::function<void(int64_t)> on_durable);
+  /// The read step behind GetChecked and GetContentChecked. A hit is a
+  /// cached copy (holding its bytes if content is wanted). A miss installs
+  /// the file, recalls it under one "hsm.recall" span, and on a terminal
+  /// failure evicts the install again.
+  Status Fetch(const std::string& file, bool want_content,
+               std::function<void(Result<Fetched>)> done);
+  /// Reads `file` from tape (decoded when `want_content`), retrying an
+  /// IOError after an operator repair up to the fault policy's attempts
+  /// and failing fast on anything else. A size-only read delivers no
+  /// bytes.
+  void RecallWithRetry(const std::string& file, bool want_content,
+                       int attempt,
+                       std::function<void(Result<std::string>)> done);
 
   sim::Simulation* simulation_;
   DiskVolume* cache_disk_;
   TapeLibrary* tape_;
 
-  // LRU list: front = most recent. Map holds size + list iterator.
+  // LRU list: front = most recent. The map holds each cached file's size,
+  // its list position, and its raw bytes if it is content-bearing.
   struct Entry {
     int64_t bytes;
     std::list<std::string>::iterator lru_it;
+    std::optional<std::string> content;
   };
   std::list<std::string> lru_;
-  std::map<std::string, Entry> cache_entries_;
-  /// Raw bytes of content-bearing cached files (subset of cache_entries_).
-  std::map<std::string, std::string> disk_contents_;
+  std::map<std::string, Entry> entries_;
 
   // Observability: the tracer (null until SetObserver), the one counter
   // store, and handles into it, resolved once per SetObserver.

@@ -1,5 +1,6 @@
 #include "storage/tape.h"
 
+#include <optional>
 #include <utility>
 
 #include "util/compress.h"
@@ -18,98 +19,89 @@ double TapeLibrary::AccessTime(int64_t bytes) const {
          static_cast<double>(bytes) / config_.stream_bytes_per_sec;
 }
 
-Status TapeLibrary::Write(const std::string& file, int64_t bytes,
-                          std::function<void()> on_complete) {
-  if (files_.count(file) > 0) {
-    return Status::AlreadyExists(name_ + ": file '" + file +
-                                 "' already archived");
+double TapeLibrary::CodecSeconds(const FileRecord& record,
+                                 double bytes_per_sec) {
+  if (!record.compressed || bytes_per_sec <= 0.0) {
+    return 0.0;
   }
-  if (used_ + bytes > config_.capacity_bytes) {
-    return Status::ResourceExhausted(name_ + ": tape library full (" +
-                                     FormatBytes(used_) + " used)");
-  }
-  files_[file] = bytes;
-  used_ += bytes;
-  ++mounts_;
-  drives_.Submit(AccessTime(bytes), std::move(on_complete));
-  return Status::OK();
+  return static_cast<double>(record.raw_bytes) / bytes_per_sec;
 }
 
-Status TapeLibrary::Read(const std::string& file,
-                         std::function<void(int64_t)> on_complete) {
-  return ReadChecked(
-      file, [name = name_, file, cb = std::move(on_complete)](
-                Result<int64_t> bytes) {
-        if (!bytes.ok()) {
-          DFLOW_LOG(Warning) << name << ": unchecked read of '" << file
-                             << "' hit " << bytes.status().ToString();
-          return;
-        }
-        if (cb) {
-          cb(*bytes);
-        }
-      });
+Result<std::string> TapeLibrary::Decode(const FileRecord& record) {
+  if (record.compressed) {
+    // The wlzc per-frame CRC is the corruption detector here: a silently
+    // flipped byte in the stored container fails the frame checksum and
+    // surfaces as Corruption — no scrub pass needed for compressed
+    // content.
+    return WlzChunkedDecompress(record.stored);
+  }
+  // Uncompressed content has no frame CRCs: rotten bytes are returned
+  // without complaint, exactly the failure mode the scrubber exists for.
+  return record.stored;
 }
 
-Status TapeLibrary::ReadChecked(
-    const std::string& file,
-    std::function<void(Result<int64_t>)> on_complete) {
+Result<const TapeLibrary::FileRecord*> TapeLibrary::Find(
+    const std::string& file, bool want_content) const {
   auto it = files_.find(file);
   if (it == files_.end()) {
     return Status::NotFound(name_ + ": no archived file '" + file + "'");
   }
-  int64_t bytes = it->second;
-  ++mounts_;
-  drives_.Submit(AccessTime(bytes), [this, file, bytes,
-                                     cb = std::move(on_complete)] {
-    // The drive time is spent either way: tape errors surface mid-stream.
-    if (bad_blocks_.count(file) > 0) {
-      ++bad_block_reads_;
-      if (cb) {
-        cb(Status::IOError(name_ + ": bad block reading '" + file + "'"));
-      }
-      return;
-    }
-    if (cb) {
-      cb(bytes);
-    }
-  });
-  return Status::OK();
+  if (want_content && !it->second.has_content) {
+    return Status::NotFound(name_ + ": no archived content '" + file + "'");
+  }
+  return &it->second;
+}
+
+Status TapeLibrary::Write(const std::string& file, int64_t bytes,
+                          std::function<void()> on_complete) {
+  return Archive(file, bytes, std::nullopt,
+                 [cb = std::move(on_complete)](int64_t /*stored*/) {
+                   if (cb) {
+                     cb();
+                   }
+                 });
 }
 
 Status TapeLibrary::WriteContent(const std::string& file, std::string content,
                                  std::function<void(int64_t)> on_complete) {
+  return Archive(file, /*bytes=*/0, std::move(content),
+                 std::move(on_complete));
+}
+
+Status TapeLibrary::Archive(const std::string& file, int64_t bytes,
+                            std::optional<std::string> content,
+                            std::function<void(int64_t)> on_complete) {
   if (files_.count(file) > 0) {
     return Status::AlreadyExists(name_ + ": file '" + file +
                                  "' already archived");
   }
-  ContentRecord rec;
-  rec.raw_bytes = static_cast<int64_t>(content.size());
-  if (config_.compress_content) {
-    rec.stored = WlzChunkedCompress(content, config_.compress_block_bytes);
-    rec.compressed = true;
-  } else {
-    rec.stored = std::move(content);
+  FileRecord record;
+  record.stored_bytes = bytes;
+  if (content.has_value()) {
+    record.has_content = true;
+    record.compressed = config_.compress_content;
+    record.raw_bytes = static_cast<int64_t>(content->size());
+    record.stored = record.compressed
+                        ? WlzChunkedCompress(*content,
+                                             config_.compress_block_bytes)
+                        : std::move(*content);
+    record.stored_bytes = static_cast<int64_t>(record.stored.size());
   }
-  const int64_t stored = static_cast<int64_t>(rec.stored.size());
+  const int64_t stored = record.stored_bytes;
   if (used_ + stored > config_.capacity_bytes) {
     return Status::ResourceExhausted(name_ + ": tape library full (" +
                                      FormatBytes(used_) + " used)");
   }
-  // Register the STORED size in files_: FileSize/FileNames — and therefore
-  // the scrubber walk and migration plan — see compressed files exactly
-  // like size-only ones.
-  files_[file] = stored;
   used_ += stored;
-  content_raw_bytes_ += rec.raw_bytes;
-  content_stored_bytes_ += stored;
-  ++mounts_;
-  double service = AccessTime(stored);
-  if (rec.compressed && config_.compress_bytes_per_sec > 0.0) {
-    service += static_cast<double>(rec.raw_bytes) /
-               config_.compress_bytes_per_sec;
+  if (record.has_content) {
+    content_raw_bytes_ += record.raw_bytes;
+    content_stored_bytes_ += stored;
   }
-  contents_[file] = std::move(rec);
+  ++mounts_;
+  const double service =
+      AccessTime(stored) +
+      CodecSeconds(record, config_.compress_bytes_per_sec);
+  files_.emplace(file, std::move(record));
   drives_.Submit(service, [stored, cb = std::move(on_complete)] {
     if (cb) {
       cb(stored);
@@ -118,77 +110,86 @@ Status TapeLibrary::WriteContent(const std::string& file, std::string content,
   return Status::OK();
 }
 
+Status TapeLibrary::ReadChecked(
+    const std::string& file,
+    std::function<void(Result<int64_t>)> on_complete) {
+  return Recall(file, /*want_content=*/false,
+                [cb = std::move(on_complete)](Result<Recalled> got) {
+                  if (!cb) {
+                    return;
+                  }
+                  if (!got.ok()) {
+                    cb(got.status());
+                    return;
+                  }
+                  cb(got->stored_bytes);
+                });
+}
+
 Status TapeLibrary::ReadContentChecked(
     const std::string& file,
     std::function<void(Result<std::string>)> done) {
-  auto it = contents_.find(file);
-  if (it == contents_.end()) {
-    return Status::NotFound(name_ + ": no archived content '" + file + "'");
-  }
-  const ContentRecord& rec = it->second;
-  const int64_t stored = static_cast<int64_t>(rec.stored.size());
+  return Recall(file, /*want_content=*/true,
+                [cb = std::move(done)](Result<Recalled> got) {
+                  if (!cb) {
+                    return;
+                  }
+                  if (!got.ok()) {
+                    cb(got.status());
+                    return;
+                  }
+                  cb(std::move(got->content));
+                });
+}
+
+Status TapeLibrary::Recall(const std::string& file, bool want_content,
+                           std::function<void(Result<Recalled>)> done) {
+  DFLOW_ASSIGN_OR_RETURN(const FileRecord* record, Find(file, want_content));
   ++mounts_;
-  double service = AccessTime(stored);
-  if (rec.compressed && config_.decompress_bytes_per_sec > 0.0) {
-    service += static_cast<double>(rec.raw_bytes) /
-               config_.decompress_bytes_per_sec;
+  double service = AccessTime(record->stored_bytes);
+  if (want_content) {
+    service += CodecSeconds(*record, config_.decompress_bytes_per_sec);
   }
-  drives_.Submit(service, [this, file, cb = std::move(done)] {
-    // Drive time is spent either way (errors surface mid-stream).
-    if (bad_blocks_.count(file) > 0) {
+  // Records are never erased, so `record` is still valid at completion.
+  drives_.Submit(service, [this, file, record, want_content,
+                           cb = std::move(done)] {
+    // The drive time is spent either way: tape errors surface mid-stream.
+    if (record->bad_block) {
       ++bad_block_reads_;
-      if (cb) {
-        cb(Status::IOError(name_ + ": bad block reading '" + file + "'"));
+      cb(Status::IOError(name_ + ": bad block reading '" + file + "'"));
+      return;
+    }
+    Recalled got;
+    got.stored_bytes = record->stored_bytes;
+    if (want_content) {
+      Result<std::string> content = Decode(*record);
+      if (!content.ok()) {
+        cb(content.status());
+        return;
       }
-      return;
+      got.content = std::move(*content);
     }
-    auto rec_it = contents_.find(file);
-    if (rec_it == contents_.end()) {
-      if (cb) {
-        cb(Status::NotFound(name_ + ": content vanished for '" + file +
-                            "'"));
-      }
-      return;
-    }
-    const ContentRecord& rec = rec_it->second;
-    if (!cb) {
-      return;
-    }
-    if (rec.compressed) {
-      // The wlzc per-frame CRC is the corruption detector here: a
-      // silently flipped byte in the stored container fails the frame
-      // checksum and surfaces as Corruption at recall time — no scrub
-      // pass needed for compressed content.
-      cb(WlzChunkedDecompress(rec.stored));
-    } else {
-      // Uncompressed content has no frame CRCs: rotten bytes are
-      // returned without complaint, exactly the failure mode the
-      // scrubber exists for.
-      cb(rec.stored);
-    }
+    cb(std::move(got));
   });
   return Status::OK();
 }
 
+bool TapeLibrary::HasContent(const std::string& file) const {
+  auto it = files_.find(file);
+  return it != files_.end() && it->second.has_content;
+}
+
 Result<int64_t> TapeLibrary::RawContentSize(const std::string& file) const {
-  auto it = contents_.find(file);
-  if (it == contents_.end()) {
-    return Status::NotFound(name_ + ": no archived content '" + file + "'");
-  }
-  return it->second.raw_bytes;
+  DFLOW_ASSIGN_OR_RETURN(const FileRecord* record,
+                         Find(file, /*want_content=*/true));
+  return record->raw_bytes;
 }
 
 Result<std::string> TapeLibrary::ContentSnapshot(
     const std::string& file) const {
-  auto it = contents_.find(file);
-  if (it == contents_.end()) {
-    return Status::NotFound(name_ + ": no archived content '" + file + "'");
-  }
-  const ContentRecord& rec = it->second;
-  if (rec.compressed) {
-    return WlzChunkedDecompress(rec.stored);
-  }
-  return rec.stored;
+  DFLOW_ASSIGN_OR_RETURN(const FileRecord* record,
+                         Find(file, /*want_content=*/true));
+  return Decode(*record);
 }
 
 void TapeLibrary::InjectDriveFailure(double repair_seconds) {
@@ -205,43 +206,59 @@ void TapeLibrary::InjectDriveFailure(double repair_seconds) {
 }
 
 void TapeLibrary::MarkBadBlock(const std::string& file) {
-  bad_blocks_.insert(file);
+  auto it = files_.find(file);
+  if (it != files_.end()) {
+    it->second.bad_block = true;
+  }
 }
 
 void TapeLibrary::RepairBadBlock(const std::string& file) {
-  bad_blocks_.erase(file);
+  auto it = files_.find(file);
+  if (it != files_.end()) {
+    it->second.bad_block = false;
+  }
+}
+
+bool TapeLibrary::HasBadBlock(const std::string& file) const {
+  auto it = files_.find(file);
+  return it != files_.end() && it->second.bad_block;
 }
 
 void TapeLibrary::CorruptSilently(const std::string& file) {
-  if (files_.count(file) == 0) {
+  auto it = files_.find(file);
+  if (it == files_.end()) {
     return;
   }
-  if (silent_corruptions_.insert(file).second) {
+  FileRecord& record = it->second;
+  if (!record.silently_corrupt) {
+    record.silently_corrupt = true;
     ++silent_corruptions_injected_;
   }
-  // Content-bearing files additionally get one stored byte flipped, so the
-  // corruption is real, not just a flag: compressed content trips the wlzc
-  // frame CRC at recall, uncompressed content reads back rotten.
-  auto it = contents_.find(file);
-  if (it != contents_.end() && !it->second.stored.empty() &&
-      !it->second.corrupted) {
-    ContentRecord& rec = it->second;
-    rec.corrupt_offset = rec.stored.size() / 2;
-    rec.original_byte = rec.stored[rec.corrupt_offset];
-    rec.stored[rec.corrupt_offset] =
-        static_cast<char>(rec.original_byte ^ 0x5a);
-    rec.corrupted = true;
+  if (record.has_content && !record.stored.empty() && !record.byte_flipped) {
+    record.corrupt_offset = record.stored.size() / 2;
+    record.original_byte = record.stored[record.corrupt_offset];
+    record.stored[record.corrupt_offset] =
+        static_cast<char>(record.original_byte ^ 0x5a);
+    record.byte_flipped = true;
   }
 }
 
 void TapeLibrary::ClearSilentCorruption(const std::string& file) {
-  silent_corruptions_.erase(file);
-  auto it = contents_.find(file);
-  if (it != contents_.end() && it->second.corrupted) {
-    ContentRecord& rec = it->second;
-    rec.stored[rec.corrupt_offset] = rec.original_byte;
-    rec.corrupted = false;
+  auto it = files_.find(file);
+  if (it == files_.end()) {
+    return;
   }
+  FileRecord& record = it->second;
+  record.silently_corrupt = false;
+  if (record.byte_flipped) {
+    record.stored[record.corrupt_offset] = record.original_byte;
+    record.byte_flipped = false;
+  }
+}
+
+bool TapeLibrary::IsSilentlyCorrupt(const std::string& file) const {
+  auto it = files_.find(file);
+  return it != files_.end() && it->second.silently_corrupt;
 }
 
 bool TapeLibrary::Contains(const std::string& file) const {
@@ -251,18 +268,16 @@ bool TapeLibrary::Contains(const std::string& file) const {
 std::vector<std::string> TapeLibrary::FileNames() const {
   std::vector<std::string> names;
   names.reserve(files_.size());
-  for (const auto& [name, bytes] : files_) {
+  for (const auto& [name, record] : files_) {
     names.push_back(name);
   }
   return names;
 }
 
 Result<int64_t> TapeLibrary::FileSize(const std::string& file) const {
-  auto it = files_.find(file);
-  if (it == files_.end()) {
-    return Status::NotFound(name_ + ": no archived file '" + file + "'");
-  }
-  return it->second;
+  DFLOW_ASSIGN_OR_RETURN(const FileRecord* record,
+                         Find(file, /*want_content=*/false));
+  return record->stored_bytes;
 }
 
 }  // namespace dflow::storage

@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/resource.h"
 #include "sim/simulation.h"
@@ -25,7 +26,7 @@ struct TapeLibraryConfig {
   /// and wlz-compressed on migrate: fewer stored bytes (capacity, and
   /// streaming time per recall scales with the STORED size) at the price
   /// of per-block compress/decompress CPU, modeled by the two rates below.
-  /// Size-only Write()/Read() are unaffected.
+  /// Size-only Write()/ReadChecked() are unaffected.
   bool compress_content = true;
   size_t compress_block_bytes = 64 * 1024;
   double compress_bytes_per_sec = 250e6;    // Raw bytes in per second.
@@ -37,6 +38,10 @@ struct TapeLibraryConfig {
 /// set of drives (a sim::Resource), and each access pays a robot mount
 /// latency plus streaming time. This asymmetry (seconds on disk vs minutes
 /// on tape) is what makes CLEO's hot/warm/cold placement matter.
+///
+/// Every file, size-only or content-bearing, is one record: both writes go
+/// through one archive step and both reads through one recall step, so
+/// capacity, mounts, drive time and faults are accounted once.
 class TapeLibrary {
  public:
   TapeLibrary(sim::Simulation* simulation, std::string name,
@@ -48,16 +53,9 @@ class TapeLibrary {
   Status Write(const std::string& file, int64_t bytes,
                std::function<void()> on_complete);
 
-  /// Recalls a file; NotFound if absent. Callback receives the byte count.
-  /// This is the happy-path API: if the recall hits an injected bad block
-  /// the error is logged and the callback is dropped — fault-aware callers
-  /// (HsmCache, MediaMigration) use ReadChecked instead.
-  Status Read(const std::string& file,
-              std::function<void(int64_t)> on_complete);
-
-  /// Fault-aware recall: the callback receives either the byte count or,
-  /// if the file has developed a bad block, an IOError after the drive
-  /// time was already spent (tape errors surface mid-stream, not up
+  /// Fault-aware recall: the callback receives either the stored byte
+  /// count or, if the file has developed a bad block, an IOError after the
+  /// drive time was already spent (tape errors surface mid-stream, not up
   /// front). Returns NotFound immediately for absent files.
   Status ReadChecked(const std::string& file,
                      std::function<void(Result<int64_t>)> on_complete);
@@ -81,14 +79,12 @@ class TapeLibrary {
   ///    no scrubber needed;
   ///  - the raw content otherwise. Uncompressed content carries no frame
   ///    CRCs, so a silently corrupted uncompressed file returns its rotten
-  ///    bytes without complaint (why archives scrub, and why this PR
-  ///    compresses).
+  ///    bytes without complaint (why archives scrub).
+  /// NotFound immediately for absent files and size-only ones.
   Status ReadContentChecked(const std::string& file,
                             std::function<void(Result<std::string>)> done);
 
-  bool HasContent(const std::string& file) const {
-    return contents_.count(file) > 0;
-  }
+  bool HasContent(const std::string& file) const;
 
   /// Uncompressed size of a content-bearing file (NotFound if the file has
   /// no stored content).
@@ -108,32 +104,30 @@ class TapeLibrary {
   /// drives.
   void InjectDriveFailure(double repair_seconds);
 
-  /// Fault hook: `file` develops an unreadable block; every ReadChecked
-  /// fails with IOError until RepairBadBlock clears it.
+  /// Fault hook: archived `file` develops an unreadable block; every
+  /// recall fails with IOError until RepairBadBlock clears it.
   void MarkBadBlock(const std::string& file);
 
   /// Operator fixed the medium (re-tensioned, re-wrote from a sibling
   /// copy): subsequent reads succeed.
   void RepairBadBlock(const std::string& file);
 
-  bool HasBadBlock(const std::string& file) const {
-    return bad_blocks_.count(file) > 0;
-  }
+  bool HasBadBlock(const std::string& file) const;
 
   /// Fault hook: silent corruption — the file still reads cleanly (no
   /// drive error), but its content no longer matches the stored checksum.
   /// Only an end-to-end verification (the recover::Scrubber) catches it;
   /// production recalls return the rotten bytes without complaint, which
-  /// is exactly why archives scrub.
+  /// is exactly why archives scrub. A content-bearing file also gets one
+  /// stored byte flipped, so compressed content trips the wlzc frame CRC
+  /// at recall and uncompressed content reads back rotten.
   void CorruptSilently(const std::string& file);
 
   /// Restores the file's content/checksum agreement (a clean copy was
   /// rewritten over the rotten one).
   void ClearSilentCorruption(const std::string& file);
 
-  bool IsSilentlyCorrupt(const std::string& file) const {
-    return silent_corruptions_.count(file) > 0;
-  }
+  bool IsSilentlyCorrupt(const std::string& file) const;
 
   int64_t silent_corruptions_injected() const {
     return silent_corruptions_injected_;
@@ -157,27 +151,64 @@ class TapeLibrary {
   double AccessTime(int64_t bytes) const;
 
  private:
-  /// Stored payload of a content-bearing file plus the bookkeeping needed
-  /// to flip (and later restore) one byte on CorruptSilently.
-  struct ContentRecord {
-    std::string stored;       // wlzc container, or raw bytes if uncompressed.
-    int64_t raw_bytes = 0;
+  /// One archived file. A size-only file is just its byte count; a
+  /// content-bearing one also carries its stored payload and the
+  /// bookkeeping needed to flip (and later restore) one byte on
+  /// CorruptSilently.
+  struct FileRecord {
+    int64_t stored_bytes = 0;  // Counts against capacity; FileSize().
+    bool bad_block = false;
+    bool silently_corrupt = false;
+    bool has_content = false;
     bool compressed = false;
+    int64_t raw_bytes = 0;
+    std::string stored;  // wlzc container, or raw bytes if uncompressed.
     size_t corrupt_offset = 0;
     char original_byte = 0;
-    bool corrupted = false;
+    bool byte_flipped = false;
   };
+
+  /// The archive step behind Write and WriteContent: the name check, the
+  /// encode of `content` (when given; otherwise `bytes` is the size), the
+  /// capacity check, then one mount and AccessTime(stored) plus any
+  /// compress time on a drive. `on_complete` gets the stored byte count
+  /// once the copy is durable.
+  Status Archive(const std::string& file, int64_t bytes,
+                 std::optional<std::string> content,
+                 std::function<void(int64_t)> on_complete);
+  /// What a recall delivers: the stored size, plus the raw content when
+  /// it was asked for.
+  struct Recalled {
+    int64_t stored_bytes = 0;
+    std::string content;
+  };
+
+  /// The recall step behind ReadChecked and ReadContentChecked: NotFound up
+  /// front (also for content asked of a size-only file), then one mount and
+  /// AccessTime(stored), plus the decompress time when content is asked
+  /// for, on a drive. `done` gets IOError on a bad block; otherwise the
+  /// stored size, and the decoded content (or its Corruption) only when
+  /// `want_content` is set.
+  Status Recall(const std::string& file, bool want_content,
+                std::function<void(Result<Recalled>)> done);
+  /// Seconds of codec CPU to move `record`'s raw bytes at `bytes_per_sec`
+  /// (0 for uncompressed and size-only files).
+  static double CodecSeconds(const FileRecord& record, double bytes_per_sec);
+  /// The raw content of a content-bearing record: Corruption if a
+  /// compressed frame's CRC fails.
+  static Result<std::string> Decode(const FileRecord& record);
+  /// The record of `file` (which must carry content if `want_content`),
+  /// or NotFound.
+  Result<const FileRecord*> Find(const std::string& file,
+                                 bool want_content) const;
 
   sim::Simulation* simulation_;
   std::string name_;
   TapeLibraryConfig config_;
   sim::Resource drives_;
-  std::map<std::string, int64_t> files_;
-  std::map<std::string, ContentRecord> contents_;
+  std::map<std::string, FileRecord> files_;
   int64_t content_raw_bytes_ = 0;
   int64_t content_stored_bytes_ = 0;
-  std::set<std::string> bad_blocks_;
-  std::set<std::string> silent_corruptions_;
   int64_t silent_corruptions_injected_ = 0;
   int64_t used_ = 0;
   int64_t mounts_ = 0;

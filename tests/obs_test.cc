@@ -505,14 +505,18 @@ TEST(StorageObsTest, HsmCountersAndSpans) {
   ASSERT_TRUE(archived);
 
   // Hit: one cache_read span.
-  ASSERT_TRUE(hsm.Get("run1", [](int64_t) {}).ok());
+  ASSERT_TRUE(hsm.GetChecked("run1", nullptr).ok());
   simulation.Run();
   // Miss with one bad block: recall span covering a fault, a repair, and
   // the re-read.
   hsm.Evict("run1");
   tape.MarkBadBlock("run1");
   int64_t recalled = 0;
-  ASSERT_TRUE(hsm.Get("run1", [&](int64_t n) { recalled = n; }).ok());
+  ASSERT_TRUE(hsm.GetChecked("run1", [&](Result<int64_t> n) {
+                   ASSERT_TRUE(n.ok());
+                   recalled = *n;
+                 })
+                  .ok());
   simulation.Run();
   EXPECT_EQ(recalled, 10 * kGB);
 
@@ -833,7 +837,7 @@ std::vector<CounterStoreCase> CounterStoreCases() {
          };
          ASSERT_TRUE(hsm.Put("run1", 10 * kGB, nullptr).ok());
          simulation.Run();
-         ASSERT_TRUE(hsm.Get("run1", nullptr).ok());
+         ASSERT_TRUE(hsm.GetChecked("run1", nullptr).ok());
          simulation.Run();
          *first = reads();
          if (registry != nullptr) {
@@ -841,7 +845,7 @@ std::vector<CounterStoreCase> CounterStoreCases() {
          }
          hsm.Evict("run1");
          tape.MarkBadBlock("run1");
-         ASSERT_TRUE(hsm.Get("run1", nullptr).ok());
+         ASSERT_TRUE(hsm.GetChecked("run1", nullptr).ok());
          simulation.Run();
          *second = reads();
        }});

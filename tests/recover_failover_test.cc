@@ -1,10 +1,12 @@
 // Health-gated failover in the serve tier: per-mount circuit breakers
-// (consecutive-failure trip, seeded-backoff half-open probes), replica
+// (consecutive-failure trip, backed-off half-open probes), replica
 // backends that absorb traffic while the primary is down, and fail-fast
 // shedding when no replica exists.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -52,6 +54,58 @@ class SwitchableService : public core::WebService {
   std::string tag_;
   std::atomic<bool> failing_{false};
   std::atomic<int64_t> calls_{0};
+};
+
+/// A backend that parks "park" requests until Release() and records how
+/// many calls were inside Handle() at once.
+class ParkingService : public core::WebService {
+ public:
+  Result<ServiceResponse> Handle(const ServiceRequest& request) override {
+    const int inside = inside_.fetch_add(1) + 1;
+    int seen = max_inside_.load();
+    while (inside > seen && !max_inside_.compare_exchange_weak(seen, inside)) {
+    }
+    entered_.fetch_add(1);
+    if (request.path == "park") {
+      std::unique_lock<std::mutex> lock(mu_);
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    inside_.fetch_sub(1);
+    ServiceResponse response;
+    response.body = "parking:" + request.path;
+    response.cache_max_age_sec = ServiceResponse::kUncacheable;
+    return response;
+  }
+  std::vector<std::string> Endpoints() const override {
+    return {"echo", "park"};
+  }
+  const std::string& name() const override { return name_; }
+
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+  int entered() const { return entered_.load(); }
+  int max_inside() const { return max_inside_.load(); }
+
+ private:
+  std::string name_ = "parking";
+  std::atomic<int> inside_{0};
+  std::atomic<int> max_inside_{0};
+  std::atomic<int> entered_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
 };
 
 struct FailoverHarness {
@@ -251,6 +305,65 @@ TEST(ServeFailoverTest, SetReplicaValidation) {
   EXPECT_EQ(loop.SetReplica("/", &h.replica_registry).code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(loop.SetReplica("svc", &h.replica_registry).ok());
+}
+
+// A replica registry is some other loop's primary. Failover must take the
+// lock that loop takes, or two threads run one single-threaded backend.
+TEST(ServeFailoverTest, FailoverTakesTheReplicaOwnersMountLock) {
+  core::ServiceRegistry registry_a;
+  core::ServiceRegistry registry_b;
+  auto dead = std::make_shared<SwitchableService>("a");
+  dead->set_failing(true);
+  auto backend_b = std::make_shared<ParkingService>();
+  ASSERT_TRUE(registry_a.Mount("svc", dead).ok());
+  ASSERT_TRUE(registry_b.Mount("svc", backend_b).ok());
+
+  ServeConfig config_b;
+  config_b.num_workers = 2;
+  ServeLoop loop_b(&registry_b, config_b);
+  ServeConfig config_a;
+  config_a.num_workers = 2;
+  config_a.breaker.enabled = true;
+  config_a.breaker.failure_threshold = 1;
+  config_a.breaker.open_sec = 600.0;
+  config_a.breaker.open_max_sec = 600.0;
+  ServeLoop loop_a(&registry_a, config_a);
+  ASSERT_TRUE(loop_a.SetReplica("svc", &registry_b).ok());
+  EXPECT_FALSE(loop_a.Execute(Req("svc/echo")).ok());  // Trips A open.
+  ASSERT_EQ(loop_a.HealthSnapshot().at(0).state, "open");
+
+  // B's own loop parks a request inside B's backend...
+  std::atomic<bool> held_done{false};
+  ASSERT_TRUE(loop_b
+                  .Enqueue(Req("svc/park"),
+                           [&held_done](const Result<ResponsePtr>& result) {
+                             EXPECT_TRUE(result.ok());
+                             held_done.store(true);
+                           })
+                  .ok());
+  backend_b->AwaitParked();
+  // ...so A's failover request must wait outside it.
+  std::atomic<bool> failover_done{false};
+  ASSERT_TRUE(loop_a
+                  .Enqueue(Req("svc/echo"),
+                           [&failover_done](const Result<ResponsePtr>& result) {
+                             ASSERT_TRUE(result.ok());
+                             EXPECT_EQ((*result)->body, "parking:echo");
+                             failover_done.store(true);
+                           })
+                  .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(backend_b->entered(), 1);
+  EXPECT_FALSE(failover_done.load());
+
+  backend_b->Release();
+  loop_b.Drain();
+  loop_a.Drain();
+  EXPECT_TRUE(held_done.load());
+  EXPECT_TRUE(failover_done.load());
+  EXPECT_EQ(backend_b->entered(), 2);
+  EXPECT_EQ(backend_b->max_inside(), 1);
+  EXPECT_EQ(loop_a.Stats().failover_requests, 1);
 }
 
 // Stress: hammer a tripping/healing mount from many threads while the

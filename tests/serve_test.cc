@@ -90,6 +90,11 @@ class FakeService : public core::WebService {
     }
     released_.notify_all();
   }
+  /// Re-arms the gate: later gate requests park again.
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
   int64_t calls() const { return calls_.load(); }
 
  private:
@@ -509,11 +514,7 @@ TEST(ServeLoopTest, ExecutesAndCountsBackendOutcomes) {
 
 TEST(ServeLoopTest, ShedsAtBoundedQueueWithGrowingRetryAfter) {
   Harness h;
-  ServeConfig config = SmallConfig(1, 2);
-  config.retry_hint.backoff_initial_sec = 0.010;
-  config.retry_hint.backoff_multiplier = 2.0;
-  config.retry_hint.backoff_max_sec = 0.040;
-  ServeLoop loop(&h.registry, config);
+  ServeLoop loop(&h.registry, SmallConfig(1, 2));
 
   // Occupy the single worker...
   ASSERT_TRUE(loop.Enqueue(Req("svc/gate")).ok());
@@ -521,48 +522,54 @@ TEST(ServeLoopTest, ShedsAtBoundedQueueWithGrowingRetryAfter) {
   // ...fill the queue (depth 2)...
   ASSERT_TRUE(loop.Enqueue(Req("svc/echo")).ok());
   ASSERT_TRUE(loop.Enqueue(Req("svc/echo")).ok());
-  // ...then shed, with a backoff ladder that doubles and caps.
-  Status s1 = loop.Enqueue(Req("svc/echo"));
-  Status s2 = loop.Enqueue(Req("svc/echo"));
-  Status s3 = loop.Enqueue(Req("svc/echo"));
-  Status s4 = loop.Enqueue(Req("svc/echo"));
-  EXPECT_TRUE(s1.IsResourceExhausted());
-  EXPECT_TRUE(s4.IsResourceExhausted());
-  EXPECT_NE(s1.message().find("retry after"), std::string::npos);
-  EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, 0.040);  // Capped.
+  // ...then shed, with a retry-after ladder that starts at 5 ms, doubles,
+  // and caps at 0.5 s.
+  const double ladder[] = {0.005, 0.010, 0.020, 0.040,
+                           0.080, 0.160, 0.320, 0.5};
+  for (double expected : ladder) {
+    Status shed = loop.Enqueue(Req("svc/echo"));
+    EXPECT_TRUE(shed.IsResourceExhausted());
+    EXPECT_NE(shed.message().find("retry after"), std::string::npos);
+    EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, expected);
+  }
+  EXPECT_TRUE(loop.Enqueue(Req("svc/echo")).IsResourceExhausted());
+  EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, 0.5);  // Capped.
 
   h.fake->Release();
   loop.Drain();
   auto stats = loop.Stats();
-  EXPECT_EQ(stats.offered, 7);
+  EXPECT_EQ(stats.offered, 12);
   EXPECT_EQ(stats.admitted, 3);
-  EXPECT_EQ(stats.shed, 4);
+  EXPECT_EQ(stats.shed, 9);
   EXPECT_EQ(stats.completed, 3);
-  EXPECT_NEAR(stats.shed_fraction(), 4.0 / 7.0, 1e-12);
+  EXPECT_NEAR(stats.shed_fraction(), 9.0 / 12.0, 1e-12);
   // Latencies recorded only for admitted requests.
   EXPECT_EQ(loop.Latencies().count(), 3);
 }
 
 TEST(ServeLoopTest, RetryAfterLadderResetsAfterAdmission) {
   Harness h;
-  ServeConfig config = SmallConfig(1, 1);
-  config.retry_hint.backoff_initial_sec = 0.005;
-  config.retry_hint.backoff_multiplier = 4.0;
-  config.retry_hint.backoff_max_sec = 10.0;
-  ServeLoop loop(&h.registry, config);
+  ServeLoop loop(&h.registry, SmallConfig(1, 1));
   ASSERT_TRUE(loop.Enqueue(Req("svc/gate")).ok());
   h.fake->AwaitWaiters(1);
   ASSERT_TRUE(loop.Enqueue(Req("svc/echo")).ok());  // Fills queue.
   EXPECT_TRUE(loop.Enqueue(Req("svc/echo")).IsResourceExhausted());
   EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, 0.005);
   EXPECT_TRUE(loop.Enqueue(Req("svc/echo")).IsResourceExhausted());
-  EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, 0.020);
+  EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, 0.010);
   h.fake->Release();
   loop.Drain();
-  // Queue empty again: next admission succeeds and resets the streak.
+  // Queue empty again: the next admission succeeds and resets the streak.
   ASSERT_TRUE(loop.Enqueue(Req("svc/echo")).ok());
   loop.Drain();
+  // Overloaded again: the ladder starts over at its first rung.
+  h.fake->Close();
+  ASSERT_TRUE(loop.Enqueue(Req("svc/gate")).ok());
+  h.fake->AwaitWaiters(2);
   ASSERT_TRUE(loop.Enqueue(Req("svc/echo")).ok());
+  EXPECT_TRUE(loop.Enqueue(Req("svc/echo")).IsResourceExhausted());
+  EXPECT_DOUBLE_EQ(loop.Stats().last_retry_after_sec, 0.005);
+  h.fake->Release();
   loop.Drain();
 }
 

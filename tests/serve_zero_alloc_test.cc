@@ -175,27 +175,6 @@ TEST(ServeZeroAlloc, HitHandsOutTheCachedObjectNoBodyCopy) {
   EXPECT_EQ((*second)->body.compare(0, 12, "payload-for:"), 0);
 }
 
-TEST(ServeZeroAlloc, RequestScratchReusesBlocksAcrossReset) {
-  serve::RequestScratch& scratch = serve::RequestScratch::ForThisThread();
-  scratch.Reset();
-  const int64_t allocations_before = scratch.allocations();
-  void* a = scratch.Alloc(512);
-  ASSERT_NE(a, nullptr);
-  // Alignment contract.
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 8, 0u);
-  scratch.Reset();
-  void* b = scratch.Alloc(512);
-  EXPECT_EQ(a, b) << "Reset() must retain and reuse blocks";
-  scratch.Reset();
-  // Steady state: no new blocks after warmup for same-shape usage.
-  for (int i = 0; i < 100; ++i) {
-    scratch.Alloc(256);
-    scratch.Alloc(256);
-    scratch.Reset();
-  }
-  EXPECT_LE(scratch.allocations() - allocations_before, 1);
-}
-
 // Satellite: the Totals() counter-read race. Totals() snapshots each
 // shard's counters under that shard's lock, so under heavy concurrent
 // mutation the FINAL totals must account for every operation exactly —

@@ -1,8 +1,9 @@
 // Content-bearing storage tier: chunked wlz compression on tape migrate,
 // raw disk copies in the HSM cache, CRC-backed corruption detection on
-// compressed recalls, and content-preserving media migration. The size-only
-// APIs (and therefore the PR 5 scrubber and chaos harnesses) are pinned
-// elsewhere and must be unaffected — these tests cover the new plane.
+// compressed recalls, and content-preserving media migration. Content and
+// size-only files share one tape record and one HSM read path; the
+// size-only reads (and the scrubber and chaos harnesses on them) are
+// pinned in storage_test and elsewhere.
 
 #include <string>
 
@@ -269,6 +270,42 @@ TEST(HsmContentTest, BadBlockRecallRetriesCorruptionFailsFast) {
   EXPECT_EQ(hsm.operator_repairs(), repairs_before) << "corruption retried";
   EXPECT_EQ(hsm.read_failures(), 1);
   EXPECT_FALSE(hsm.InCache("cat")) << "failed recall left cache entry";
+}
+
+TEST(HsmContentTest, ContentReadReplacesACopyCachedWithoutBytes) {
+  sim::Simulation simulation;
+  DiskVolume disk("cache", 1 * kGB, 200.0e6, 0.005);
+  TapeLibrary tape(&simulation, "ctc", {});
+  HsmCache hsm(&simulation, &disk, &tape);
+  const std::string payload = CatalogPayload(1000);
+  ASSERT_TRUE(hsm.PutContent("cat", payload, nullptr).ok());
+  simulation.Run();
+  hsm.Evict("cat");
+
+  // A size-only read caches the file without its bytes...
+  ASSERT_TRUE(hsm.GetChecked("cat", nullptr).ok());
+  simulation.Run();
+  ASSERT_TRUE(hsm.InCache("cat"));
+  // ...so a content read misses and replaces that copy with the raw one.
+  Result<std::string> got = Status::OK();
+  ASSERT_TRUE(
+      hsm.GetContentChecked("cat", [&](Result<std::string> r) {
+            got = std::move(r);
+          })
+          .ok());
+  simulation.Run();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(hsm.misses(), 2);
+  EXPECT_EQ(disk.used_bytes(), static_cast<int64_t>(payload.size()));
+
+  // One cached copy: the next content read hits, one eviction frees it.
+  ASSERT_TRUE(hsm.GetContentChecked("cat", nullptr).ok());
+  simulation.Run();
+  EXPECT_EQ(hsm.hits(), 1);
+  hsm.Evict("cat");
+  EXPECT_FALSE(hsm.InCache("cat"));
+  EXPECT_EQ(disk.used_bytes(), 0);
 }
 
 TEST(MigrationContentTest, MigrationRecompressesAndVerifiesContent) {

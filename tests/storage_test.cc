@@ -50,7 +50,11 @@ TEST(TapeLibraryTest, WriteReadAccounting) {
   EXPECT_EQ(tape.used_bytes(), 10 * kGB);
 
   int64_t read_bytes = 0;
-  ASSERT_TRUE(tape.Read("block1", [&](int64_t n) { read_bytes = n; }).ok());
+  ASSERT_TRUE(tape.ReadChecked("block1", [&](Result<int64_t> n) {
+                    ASSERT_TRUE(n.ok());
+                    read_bytes = *n;
+                  })
+                  .ok());
   simulation.Run();
   EXPECT_EQ(read_bytes, 10 * kGB);
   EXPECT_EQ(tape.mounts(), 2);
@@ -63,7 +67,7 @@ TEST(TapeLibraryTest, ErrorsAndDriveContention) {
   TapeLibrary tape(&simulation, "ctc", config);
   ASSERT_TRUE(tape.Write("a", kGB, nullptr).ok());
   EXPECT_TRUE(tape.Write("a", kGB, nullptr).IsAlreadyExists());
-  EXPECT_TRUE(tape.Read("missing", nullptr).IsNotFound());
+  EXPECT_TRUE(tape.ReadChecked("missing", nullptr).IsNotFound());
 
   // Two more writes contend for the single drive.
   double t_b = 0, t_c = 0;
@@ -96,7 +100,11 @@ TEST(HsmCacheTest, HitIsFastMissRecallsFromTape) {
   // Hit: served from disk.
   double start = simulation.Now();
   int64_t got = 0;
-  ASSERT_TRUE(hsm.Get("run1", [&](int64_t n) { got = n; }).ok());
+  ASSERT_TRUE(hsm.GetChecked("run1", [&](Result<int64_t> n) {
+                   ASSERT_TRUE(n.ok());
+                   got = *n;
+                 })
+                  .ok());
   simulation.Run();
   EXPECT_EQ(got, 10 * kGB);
   EXPECT_EQ(hsm.hits(), 1);
@@ -106,7 +114,7 @@ TEST(HsmCacheTest, HitIsFastMissRecallsFromTape) {
   hsm.Evict("run1");
   EXPECT_FALSE(hsm.InCache("run1"));
   start = simulation.Now();
-  ASSERT_TRUE(hsm.Get("run1", [](int64_t) {}).ok());
+  ASSERT_TRUE(hsm.GetChecked("run1", nullptr).ok());
   simulation.Run();
   double miss_latency = simulation.Now() - start;
   EXPECT_EQ(hsm.misses(), 1);
@@ -125,7 +133,7 @@ TEST(HsmCacheTest, LruEviction) {
   ASSERT_TRUE(hsm.Put("c", kGB, nullptr).ok());
   simulation.Run();
   // Touch "a" so "b" is the LRU victim.
-  ASSERT_TRUE(hsm.Get("a", nullptr).ok());
+  ASSERT_TRUE(hsm.GetChecked("a", nullptr).ok());
   simulation.Run();
   ASSERT_TRUE(hsm.Put("d", kGB, nullptr).ok());
   simulation.Run();
@@ -147,7 +155,11 @@ TEST(HsmCacheTest, OversizeFileRejectedWithoutCorruptingState) {
   // Existing content is untouched and still servable.
   EXPECT_TRUE(hsm.InCache("small"));
   int64_t got = 0;
-  ASSERT_TRUE(hsm.Get("small", [&](int64_t n) { got = n; }).ok());
+  ASSERT_TRUE(hsm.GetChecked("small", [&](Result<int64_t> n) {
+                   ASSERT_TRUE(n.ok());
+                   got = *n;
+                 })
+                  .ok());
   simulation.Run();
   EXPECT_EQ(got, kGB);
 }
@@ -157,7 +169,52 @@ TEST(HsmCacheTest, MissingFileIsNotFound) {
   DiskVolume cache("cache", kGB, 400.0e6, 0.005);
   TapeLibrary tape(&simulation, "tape", TapeLibraryConfig{});
   HsmCache hsm(&simulation, &cache, &tape);
-  EXPECT_TRUE(hsm.Get("ghost", nullptr).IsNotFound());
+  EXPECT_TRUE(hsm.GetChecked("ghost", nullptr).IsNotFound());
+}
+
+TEST(HsmCacheTest, FailedRecallLeavesNothingCached) {
+  sim::Simulation simulation;
+  DiskVolume cache("cache", 10 * kGB, 400.0e6, 0.005);
+  TapeLibrary tape(&simulation, "tape", TapeLibraryConfig{});
+  HsmCache hsm(&simulation, &cache, &tape);
+  HsmFaultPolicy policy;
+  policy.max_read_attempts = 1;  // No operator repair: the block stays bad.
+  hsm.SetFaultPolicy(policy);
+  ASSERT_TRUE(hsm.Put("cursed", kGB, nullptr).ok());
+  simulation.Run();
+  hsm.Evict("cursed");
+  tape.MarkBadBlock("cursed");
+
+  const int64_t free_before = cache.FreeBytes();
+  const int64_t evictions_before = hsm.evictions();
+  Status seen = Status::OK();
+  ASSERT_TRUE(hsm.GetChecked("cursed", [&](Result<int64_t> r) {
+                   seen = r.status();
+                 })
+                  .ok());
+  simulation.Run();
+  EXPECT_TRUE(seen.IsIOError());
+  EXPECT_EQ(hsm.read_failures(), 1);
+  // The speculative install is rolled back: no entry, no disk bytes held.
+  EXPECT_FALSE(hsm.InCache("cursed"));
+  EXPECT_EQ(cache.FreeBytes(), free_before);
+  EXPECT_EQ(hsm.evictions(), evictions_before + 1);
+
+  // The next read is a miss that meets the still-bad block again, not a
+  // cache hit on bytes that never arrived.
+  const int64_t hits_before = hsm.hits();
+  const int64_t misses_before = hsm.misses();
+  seen = Status::OK();
+  ASSERT_TRUE(hsm.GetChecked("cursed", [&](Result<int64_t> r) {
+                   seen = r.status();
+                 })
+                  .ok());
+  simulation.Run();
+  EXPECT_TRUE(seen.IsIOError());
+  EXPECT_EQ(hsm.hits(), hits_before);
+  EXPECT_EQ(hsm.misses(), misses_before + 1);
+  EXPECT_TRUE(tape.HasBadBlock("cursed"));
+  EXPECT_FALSE(hsm.InCache("cursed"));
 }
 
 TEST(TierStoreTest, RegistrationAndCosts) {
