@@ -1,9 +1,9 @@
 #include "db/database.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "util/byte_buffer.h"
-#include "util/logging.h"
 
 namespace dflow::db {
 
@@ -23,6 +23,96 @@ Result<RowId> DecodeRowId(ByteReader& r) {
     return Status::Corruption("row id out of range");
   }
   return RowId{static_cast<uint32_t>(page), static_cast<uint16_t>(slot)};
+}
+
+// The one encoder of each WalOp kind; Database::ReplayRecord is the one
+// decoder. Every record leads with its op and a name.
+ByteWriter Record(WalOp op, const std::string& name) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(op));
+  w.PutString(name);
+  return w;
+}
+
+std::string CreateTableRecord(const std::string& table, const Schema& schema) {
+  ByteWriter w = Record(WalOp::kCreateTable, table);
+  schema.EncodeTo(w);
+  return w.Take();
+}
+
+std::string CreateIndexRecord(const std::string& index_name,
+                              const std::string& table,
+                              const std::string& column) {
+  ByteWriter w = Record(WalOp::kCreateIndex, index_name);
+  w.PutString(table);
+  w.PutString(column);
+  return w.Take();
+}
+
+std::string DropTableRecord(const std::string& table) {
+  return Record(WalOp::kDropTable, table).Take();
+}
+
+std::string InsertRecord(const std::string& table, const Row& row) {
+  ByteWriter w = Record(WalOp::kInsert, table);
+  EncodeRow(row, w);
+  return w.Take();
+}
+
+std::string DeleteRecord(const std::string& table, RowId rid) {
+  ByteWriter w = Record(WalOp::kDelete, table);
+  EncodeRowId(w, rid);
+  return w.Take();
+}
+
+std::string UpdateRecord(const std::string& table, RowId rid, const Row& row) {
+  ByteWriter w = Record(WalOp::kUpdate, table);
+  EncodeRowId(w, rid);
+  EncodeRow(row, w);
+  return w.Take();
+}
+
+void IndexInsert(TableInfo* table, const Row& row, RowId rid) {
+  for (const auto& index : table->indexes) {
+    index->tree->Insert(row[index->column_index], rid);
+  }
+}
+
+void IndexRemove(TableInfo* table, const Row& row, RowId rid) {
+  for (const auto& index : table->indexes) {
+    index->tree->Remove(row[index->column_index], rid);
+  }
+}
+
+// An INSERT's VALUES evaluated into full rows, which InsertRows checks.
+Result<std::vector<Row>> EvaluateInsert(const Catalog& catalog,
+                                        const InsertStmt& stmt) {
+  DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog.Get(stmt.table));
+  const Schema& schema = table->heap->schema();
+
+  // Schema position of each value: the INSERT's column list, else in order.
+  std::vector<size_t> positions;
+  for (const std::string& col : stmt.columns) {
+    DFLOW_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col));
+    positions.push_back(idx);
+  }
+  for (size_t i = 0; stmt.columns.empty() && i < schema.NumColumns(); ++i) {
+    positions.push_back(i);
+  }
+
+  std::vector<Row> rows;
+  static const Row kEmptyRow;
+  for (const std::vector<ExprPtr>& exprs : stmt.rows) {
+    if (exprs.size() != positions.size()) {
+      return Status::InvalidArgument("INSERT arity mismatch");
+    }
+    Row row(schema.NumColumns(), Value::Null());
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      DFLOW_ASSIGN_OR_RETURN(row[positions[i]], exprs[i]->Eval(kEmptyRow));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 }  // namespace
@@ -51,114 +141,107 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
   DFLOW_ASSIGN_OR_RETURN(auto store, FilePageStore::Create(path + ".pages"));
   auto db =
       std::unique_ptr<Database>(new Database(options, std::move(store)));
-  DFLOW_RETURN_IF_ERROR(db->Recover(path));
-  DFLOW_ASSIGN_OR_RETURN(db->wal_, WalWriter::Open(path));
+  // One scan of the log both cuts a torn tail off and yields the records.
+  std::vector<std::string> records;
+  DFLOW_ASSIGN_OR_RETURN(auto wal, WalWriter::Open(path, &records));
+  DFLOW_RETURN_IF_ERROR(db->Recover(records));
+  db->wal_ = std::move(wal);
   db->wal_path_ = path;
   // Seed LSNs past the replayed records so page stamps stay monotone with
   // the log (replayed pages carry LSN 0: their records are already
   // durable, no barrier needed).
-  db->wal_->set_last_lsn(db->recovered_lsn_);
+  db->wal_->set_last_lsn(records.size());
   return db;
 }
 
-Status Database::Recover(const std::string& path) {
-  auto records = WalReadAll(path);
-  if (!records.ok()) {
-    if (records.status().IsNotFound()) {
-      return Status::OK();  // Fresh database.
-    }
-    return records.status();
-  }
+Status Database::Recover(const std::vector<std::string>& records) {
   replaying_ = true;
-  recovered_lsn_ = records->size();
-  std::vector<std::string> txn_buffer;
+  Status status = Status::OK();
+  // Only a transaction's records count, once its kCommit is read: one cut
+  // off before its kCommit (a torn tail, a failed statement) never applies.
   bool in_txn = false;
-  for (const std::string& payload : *records) {
-    if (payload.empty()) {
+  std::vector<const std::string*> txn;
+  for (auto it = records.begin(); it != records.end() && status.ok(); ++it) {
+    if (it->empty()) {
       continue;
     }
-    WalOp op = static_cast<WalOp>(static_cast<uint8_t>(payload[0]));
-    if (op == WalOp::kBegin) {
-      txn_buffer.clear();
-      in_txn = true;
-    } else if (op == WalOp::kCommit) {
-      for (const std::string& buffered : txn_buffer) {
-        Status s = ReplayRecord(buffered);
-        if (!s.ok()) {
-          replaying_ = false;
-          return s;
+    switch (static_cast<WalOp>(static_cast<uint8_t>((*it)[0]))) {
+      case WalOp::kBegin:
+        in_txn = true;
+        txn.clear();
+        break;
+      case WalOp::kCommit:
+        for (size_t i = 0; i < txn.size() && status.ok(); ++i) {
+          status = ReplayRecord(*txn[i]);
         }
-      }
-      txn_buffer.clear();
-      in_txn = false;
-    } else if (in_txn) {
-      txn_buffer.push_back(payload);
+        in_txn = false;
+        txn.clear();
+        break;
+      default:
+        if (in_txn) {
+          txn.push_back(&*it);
+        }
     }
-    // Records outside begin/commit should not occur (every commit is
-    // framed); ignore them defensively, matching torn-tail semantics.
   }
   replaying_ = false;
-  return Status::OK();
+  return status;
 }
 
 Status Database::ReplayRecord(std::string_view payload) {
   ByteReader r(payload);
   DFLOW_ASSIGN_OR_RETURN(uint8_t op_byte, r.GetU8());
+  // Every record leads with a name: its table's, or for kCreateIndex the
+  // index's. Decoded rows are checked against the table like live ones.
+  DFLOW_ASSIGN_OR_RETURN(std::string name, r.GetString());
   switch (static_cast<WalOp>(op_byte)) {
     case WalOp::kCreateTable: {
-      DFLOW_ASSIGN_OR_RETURN(std::string name, r.GetString());
       DFLOW_ASSIGN_OR_RETURN(Schema schema, Schema::DecodeFrom(r));
-      CreateTableStmt stmt{std::move(name), schema.columns()};
-      return ApplyCreateTable(stmt, /*log=*/false);
+      return ApplyCreateTable(name, std::move(schema));
     }
     case WalOp::kCreateIndex: {
-      CreateIndexStmt stmt;
-      DFLOW_ASSIGN_OR_RETURN(stmt.index_name, r.GetString());
-      DFLOW_ASSIGN_OR_RETURN(stmt.table, r.GetString());
-      DFLOW_ASSIGN_OR_RETURN(stmt.column, r.GetString());
-      return ApplyCreateIndex(stmt, /*log=*/false);
+      DFLOW_ASSIGN_OR_RETURN(std::string table, r.GetString());
+      DFLOW_ASSIGN_OR_RETURN(std::string column, r.GetString());
+      return ApplyCreateIndex(name, table, column);
     }
-    case WalOp::kDropTable: {
-      DropTableStmt stmt;
-      DFLOW_ASSIGN_OR_RETURN(stmt.table, r.GetString());
-      return ApplyDropTable(stmt, /*log=*/false);
-    }
+    case WalOp::kDropTable:
+      return ApplyDropTable(name);
     case WalOp::kInsert: {
-      DFLOW_ASSIGN_OR_RETURN(std::string table_name, r.GetString());
+      DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(name));
       DFLOW_ASSIGN_OR_RETURN(Row row, DecodeRow(r));
-      DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(table_name));
-      return ApplyInsertRow(table, std::move(row), /*log=*/false);
+      DFLOW_ASSIGN_OR_RETURN(row,
+                             table->heap->schema().ValidateRow(std::move(row)));
+      return ApplyInsertRow(table, row);
     }
     case WalOp::kDelete: {
-      DFLOW_ASSIGN_OR_RETURN(std::string table_name, r.GetString());
+      DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(name));
       DFLOW_ASSIGN_OR_RETURN(RowId rid, DecodeRowId(r));
-      DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(table_name));
       DFLOW_ASSIGN_OR_RETURN(Row row, table->heap->Get(rid));
-      IndexRemove(table, row, rid);
-      return table->heap->Delete(rid);
+      return ApplyDeleteRow(table, rid, row);
     }
     case WalOp::kUpdate: {
-      DFLOW_ASSIGN_OR_RETURN(std::string table_name, r.GetString());
+      DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(name));
       DFLOW_ASSIGN_OR_RETURN(RowId rid, DecodeRowId(r));
       DFLOW_ASSIGN_OR_RETURN(Row new_row, DecodeRow(r));
-      DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(table_name));
+      DFLOW_ASSIGN_OR_RETURN(
+          new_row, table->heap->schema().ValidateRow(std::move(new_row)));
       DFLOW_ASSIGN_OR_RETURN(Row old_row, table->heap->Get(rid));
-      IndexRemove(table, old_row, rid);
-      DFLOW_ASSIGN_OR_RETURN(RowId new_rid,
-                             table->heap->Update(rid, new_row));
-      IndexInsert(table, new_row, new_rid);
-      return Status::OK();
+      return ApplyUpdateRow(table, rid, old_row, new_row);
     }
     default:
       return Status::Corruption("unknown WAL op");
   }
 }
 
-Status Database::LogRecord(std::string payload) {
-  if (wal_ == nullptr || replaying_) {
-    return Status::OK();
+Status Database::Frame(WalWriter* log, const std::function<Status()>& body) {
+  if (log == nullptr) {
+    return body();
   }
-  return wal_->Append(payload);
+  const char begin = static_cast<char>(WalOp::kBegin);
+  const char commit = static_cast<char>(WalOp::kCommit);
+  DFLOW_RETURN_IF_ERROR(log->Append(std::string_view(&begin, 1)));
+  DFLOW_RETURN_IF_ERROR(body());
+  DFLOW_RETURN_IF_ERROR(log->Append(std::string_view(&commit, 1)));
+  return log->Sync();
 }
 
 Result<QueryResult> Database::Execute(std::string_view sql) {
@@ -183,58 +266,60 @@ Result<QueryResult> Database::Dispatch(Statement stmt) {
     DFLOW_RETURN_IF_ERROR(Rollback());
     return result;
   }
+  // DDL is not transactional: applied (and framed) immediately.
   if (auto* create = std::get_if<CreateTableStmt>(&stmt)) {
-    // DDL is not transactional; applied immediately.
-    DFLOW_RETURN_IF_ERROR(ApplyCreateTable(*create, /*log=*/true));
+    DFLOW_RETURN_IF_ERROR(
+        CreateTable(std::move(create->table), Schema(create->columns)));
     return result;
   }
   if (auto* index = std::get_if<CreateIndexStmt>(&stmt)) {
-    DFLOW_RETURN_IF_ERROR(ApplyCreateIndex(*index, /*log=*/true));
+    DFLOW_RETURN_IF_ERROR(
+        CreateIndex(std::move(index->index_name), index->table, index->column));
     return result;
   }
   if (auto* drop = std::get_if<DropTableStmt>(&stmt)) {
-    DFLOW_RETURN_IF_ERROR(ApplyDropTable(*drop, /*log=*/true));
+    if (!drop->if_exists || catalog_.Find(drop->table) != nullptr) {
+      DFLOW_RETURN_IF_ERROR(Frame(
+          wal_.get(), [&] { return ApplyDropTable(drop->table); }));
+    }
     return result;
   }
   if (auto* insert = std::get_if<InsertStmt>(&stmt)) {
-    InsertStmt owned = std::move(*insert);
-    DFLOW_ASSIGN_OR_RETURN(
-        result.affected,
-        RunOrBuffer([this, owned] { return ApplyInsert(owned, true); }));
+    DFLOW_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                           EvaluateInsert(catalog_, *insert));
+    DFLOW_ASSIGN_OR_RETURN(result.affected,
+                           InsertRows(insert->table, std::move(rows)));
     return result;
   }
   if (auto* update = std::get_if<UpdateStmt>(&stmt)) {
-    UpdateStmt owned = std::move(*update);
     DFLOW_ASSIGN_OR_RETURN(
         result.affected,
-        RunOrBuffer([this, owned] { return ApplyUpdate(owned, true); }));
+        RunOrBuffer([this, owned = std::move(*update)] {
+          return ApplyUpdate(owned);
+        }));
     return result;
   }
   if (auto* del = std::get_if<DeleteStmt>(&stmt)) {
-    DeleteStmt owned = std::move(*del);
     DFLOW_ASSIGN_OR_RETURN(
         result.affected,
-        RunOrBuffer([this, owned] { return ApplyDelete(owned, true); }));
+        RunOrBuffer([this, owned = std::move(*del)] {
+          return ApplyDelete(owned);
+        }));
     return result;
   }
   return Status::Internal("unhandled statement kind");
 }
 
-Result<int64_t> Database::RunOrBuffer(std::function<Result<int64_t>()> op) {
+Result<int64_t> Database::RunOrBuffer(Op op) {
   if (in_txn_) {
     pending_.push_back(std::move(op));
     return int64_t{0};  // Affected count is unknown until COMMIT.
   }
-  // Autocommit: frame the single op as a transaction.
-  ByteWriter begin_record, commit_record;
-  begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-  commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-  DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-  DFLOW_ASSIGN_OR_RETURN(int64_t affected, op());
-  DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  if (wal_ != nullptr) {
-    DFLOW_RETURN_IF_ERROR(wal_->Sync());
-  }
+  Result<int64_t> affected = int64_t{0};
+  DFLOW_RETURN_IF_ERROR(Frame(wal_.get(), [&] {
+    affected = op();
+    return affected.status();
+  }));
   return affected;
 }
 
@@ -252,20 +337,13 @@ Status Database::Commit() {
     return Status::FailedPrecondition("no open transaction");
   }
   in_txn_ = false;
-  ByteWriter begin_record, commit_record;
-  begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-  commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-  DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-  for (auto& op : pending_) {
-    DFLOW_ASSIGN_OR_RETURN(int64_t ignored, op());
-    (void)ignored;
-  }
-  pending_.clear();
-  DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  if (wal_ != nullptr) {
-    return wal_->Sync();
-  }
-  return Status::OK();
+  std::vector<Op> ops = std::exchange(pending_, {});
+  return Frame(wal_.get(), [&]() -> Status {
+    for (Op& op : ops) {
+      DFLOW_RETURN_IF_ERROR(op().status());
+    }
+    return Status::OK();
+  });
 }
 
 Status Database::Rollback() {
@@ -281,289 +359,102 @@ Status Database::Checkpoint() {
   if (in_txn_) {
     return Status::FailedPrecondition("cannot checkpoint in a transaction");
   }
-  // Vacuum: rebuild every table (compacting tombstones) and its indexes in
-  // insertion order. The rebuilt in-memory rowids are by construction the
-  // rowids that replaying the snapshot produces, so later physical WAL
-  // records stay valid after recovery.
-  Catalog compacted(pool_.get());
-  for (const std::string& name : catalog_.TableNames()) {
-    TableInfo* old_table = catalog_.Find(name);
-    DFLOW_RETURN_IF_ERROR(
-        compacted.AddTable(old_table->name, old_table->heap->schema()));
-    TableInfo* new_table = compacted.Find(name);
-    Status copy = Status::OK();
-    DFLOW_RETURN_IF_ERROR(
-        old_table->heap->ForEach([&](RowId, const Row& row) {
-          auto rid = new_table->heap->Insert(row);
-          if (!rid.ok()) {
-            copy = rid.status();
-            return false;
-          }
-          return true;
-        }));
-    DFLOW_RETURN_IF_ERROR(copy);
-    for (const auto& old_index : old_table->indexes) {
-      auto info = std::make_unique<IndexInfo>();
-      info->name = old_index->name;
-      info->column = old_index->column;
-      info->column_index = old_index->column_index;
-      info->tree = std::make_unique<BTreeIndex>();
-      DFLOW_RETURN_IF_ERROR(
-          new_table->heap->ForEach([&](RowId rid, const Row& row) {
-            info->tree->Insert(row[info->column_index], rid);
-            return true;
-          }));
-      new_table->indexes.push_back(std::move(info));
-    }
-  }
-
+  // The snapshot goes to a new log beside the old one; the old log and
+  // catalog stay as they are until the snapshot is complete and renamed.
+  std::unique_ptr<WalWriter> snapshot;
+  const std::string snapshot_path = wal_path_ + ".ckpt";
   if (wal_ != nullptr) {
-    // Rewrite the log as a single snapshot transaction, atomically.
-    std::string tmp_path = wal_path_ + ".ckpt";
-    std::remove(tmp_path.c_str());
-    {
-      DFLOW_ASSIGN_OR_RETURN(auto writer, WalWriter::Open(tmp_path));
-      ByteWriter begin_record, commit_record;
-      begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-      commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-      DFLOW_RETURN_IF_ERROR(writer->Append(begin_record.data()));
-      for (const std::string& name : compacted.TableNames()) {
-        TableInfo* table = compacted.Find(name);
-        ByteWriter create;
-        create.PutU8(static_cast<uint8_t>(WalOp::kCreateTable));
-        create.PutString(table->name);
-        table->heap->schema().EncodeTo(create);
-        DFLOW_RETURN_IF_ERROR(writer->Append(create.data()));
-        for (const auto& index : table->indexes) {
-          ByteWriter create_index;
-          create_index.PutU8(static_cast<uint8_t>(WalOp::kCreateIndex));
-          create_index.PutString(index->name);
-          create_index.PutString(table->name);
-          create_index.PutString(index->column);
-          DFLOW_RETURN_IF_ERROR(writer->Append(create_index.data()));
-        }
-        Status append = Status::OK();
-        DFLOW_RETURN_IF_ERROR(
-            table->heap->ForEach([&](RowId, const Row& row) {
-              ByteWriter insert;
-              insert.PutU8(static_cast<uint8_t>(WalOp::kInsert));
-              insert.PutString(table->name);
-              EncodeRow(row, insert);
-              append = writer->Append(insert.data());
-              return append.ok();
-            }));
-        DFLOW_RETURN_IF_ERROR(append);
+    std::remove(snapshot_path.c_str());
+    DFLOW_ASSIGN_OR_RETURN(snapshot, WalWriter::Open(snapshot_path));
+  }
+  // Vacuum by replay: every snapshot record is written, then replayed into
+  // an empty catalog, so the rebuilt rowids are by construction the rowids
+  // recovery produces from the snapshot, and later physical WAL records
+  // stay valid after recovery.
+  Catalog live = std::exchange(catalog_, Catalog(pool_.get()));
+  replaying_ = true;
+  Status status = Frame(snapshot.get(), [&]() -> Status {
+    auto replay = [&](const std::string& record) -> Status {
+      if (snapshot != nullptr) {
+        DFLOW_RETURN_IF_ERROR(snapshot->Append(record));
       }
-      DFLOW_RETURN_IF_ERROR(writer->Append(commit_record.data()));
-      DFLOW_RETURN_IF_ERROR(writer->Sync());
+      return ReplayRecord(record);
+    };
+    for (const std::string& name : live.TableNames()) {
+      const TableInfo* table = live.Find(name);
+      DFLOW_RETURN_IF_ERROR(
+          replay(CreateTableRecord(table->name, table->heap->schema())));
+      for (const auto& index : table->indexes) {
+        DFLOW_RETURN_IF_ERROR(replay(
+            CreateIndexRecord(index->name, table->name, index->column)));
+      }
+      Status copied = Status::OK();
+      DFLOW_RETURN_IF_ERROR(table->heap->ForEach([&](RowId, const Row& row) {
+        copied = replay(InsertRecord(table->name, row));
+        return copied.ok();
+      }));
+      DFLOW_RETURN_IF_ERROR(copied);
     }
-    uint64_t old_lsn = wal_->last_lsn();
-    wal_.reset();  // Close the old log before replacing it.
-    if (std::rename(tmp_path.c_str(), wal_path_.c_str()) != 0) {
-      // Reopen the old log so the database stays durable.
-      DFLOW_ASSIGN_OR_RETURN(wal_, WalWriter::Open(wal_path_));
-      wal_->set_last_lsn(old_lsn);
-      return Status::IOError("checkpoint rename failed");
-    }
-    DFLOW_ASSIGN_OR_RETURN(wal_, WalWriter::Open(wal_path_));
+    return Status::OK();
+  });
+  replaying_ = false;
+  if (status.ok() && snapshot != nullptr &&
+      std::rename(snapshot_path.c_str(), wal_path_.c_str()) != 0) {
+    status = Status::IOError("checkpoint rename failed");
+  }
+  if (!status.ok()) {
+    catalog_ = std::move(live);
+    return status;
+  }
+  if (snapshot != nullptr) {
     // Keep LSNs monotone across the swap: resident pages stamped under the
     // old log must never look "ahead" of the new one (their content is
     // fully covered by the just-synced snapshot).
-    wal_->set_last_lsn(old_lsn);
+    snapshot->set_last_lsn(wal_->last_lsn());
+    wal_ = std::move(snapshot);
   }
-
-  catalog_ = std::move(compacted);
   return Status::OK();
 }
 
 Status Database::CreateTable(std::string name, Schema schema) {
-  CreateTableStmt stmt{std::move(name), schema.columns()};
-  return ApplyCreateTable(stmt, /*log=*/true);
+  return Frame(wal_.get(),
+               [&] { return ApplyCreateTable(name, std::move(schema)); });
 }
 
 Status Database::CreateIndex(std::string index_name, const std::string& table,
                              const std::string& column) {
-  CreateIndexStmt stmt{std::move(index_name), table, column};
-  return ApplyCreateIndex(stmt, /*log=*/true);
+  return Frame(wal_.get(),
+               [&] { return ApplyCreateIndex(index_name, table, column); });
 }
 
 Status Database::Insert(const std::string& table, Row row) {
-  auto op = [this, table, row]() -> Result<int64_t> {
-    DFLOW_ASSIGN_OR_RETURN(TableInfo * info, catalog_.Get(table));
-    DFLOW_RETURN_IF_ERROR(ApplyInsertRow(info, row, /*log=*/true));
-    return int64_t{1};
-  };
-  DFLOW_ASSIGN_OR_RETURN(int64_t ignored, RunOrBuffer(op));
-  (void)ignored;
-  return Status::OK();
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return InsertRows(table, std::move(rows)).status();
 }
 
 Status Database::InsertMany(const std::string& table, std::vector<Row> rows) {
-  bool own_txn = !in_txn_;
-  if (own_txn) {
-    DFLOW_RETURN_IF_ERROR(Begin());
-  }
+  return InsertRows(table, std::move(rows)).status();
+}
+
+Result<int64_t> Database::InsertRows(const std::string& table,
+                                     std::vector<Row> rows) {
+  DFLOW_ASSIGN_OR_RETURN(TableInfo * info, catalog_.Get(table));
   for (Row& row : rows) {
-    Status s = Insert(table, std::move(row));
-    if (!s.ok()) {
-      if (own_txn) {
-        DFLOW_RETURN_IF_ERROR(Rollback());
-      }
-      return s;
-    }
+    DFLOW_ASSIGN_OR_RETURN(row,
+                           info->heap->schema().ValidateRow(std::move(row)));
   }
-  if (own_txn) {
-    return Commit();
-  }
-  return Status::OK();
+  return RunOrBuffer(
+      [this, table, rows = std::move(rows)]() -> Result<int64_t> {
+        DFLOW_ASSIGN_OR_RETURN(TableInfo * info, catalog_.Get(table));
+        for (const Row& row : rows) {
+          DFLOW_RETURN_IF_ERROR(ApplyInsertRow(info, row));
+        }
+        return static_cast<int64_t>(rows.size());
+      });
 }
 
-Status Database::ApplyCreateTable(const CreateTableStmt& stmt, bool log) {
-  DFLOW_RETURN_IF_ERROR(catalog_.AddTable(stmt.table, Schema(stmt.columns)));
-  if (log) {
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(WalOp::kCreateTable));
-    w.PutString(stmt.table);
-    Schema(stmt.columns).EncodeTo(w);
-    // DDL is autocommitted: frame it.
-    ByteWriter begin_record, commit_record;
-    begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-    commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-    DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  }
-  return Status::OK();
-}
-
-Status Database::ApplyCreateIndex(const CreateIndexStmt& stmt, bool log) {
-  DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(stmt.table));
-  for (const auto& index : table->indexes) {
-    if (index->name == stmt.index_name) {
-      return Status::AlreadyExists("index '" + stmt.index_name +
-                                   "' already exists");
-    }
-  }
-  DFLOW_ASSIGN_OR_RETURN(size_t column_index,
-                         table->heap->schema().IndexOf(stmt.column));
-  auto info = std::make_unique<IndexInfo>();
-  info->name = stmt.index_name;
-  info->column = stmt.column;
-  info->column_index = column_index;
-  info->tree = std::make_unique<BTreeIndex>();
-  // Backfill from existing rows.
-  DFLOW_RETURN_IF_ERROR(table->heap->ForEach([&](RowId rid, const Row& row) {
-    info->tree->Insert(row[column_index], rid);
-    return true;
-  }));
-  table->indexes.push_back(std::move(info));
-  if (log) {
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(WalOp::kCreateIndex));
-    w.PutString(stmt.index_name);
-    w.PutString(stmt.table);
-    w.PutString(stmt.column);
-    ByteWriter begin_record, commit_record;
-    begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-    commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-    DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  }
-  return Status::OK();
-}
-
-Status Database::ApplyDropTable(const DropTableStmt& stmt, bool log) {
-  Status s = catalog_.DropTable(stmt.table);
-  if (!s.ok()) {
-    if (stmt.if_exists && s.IsNotFound()) {
-      return Status::OK();
-    }
-    return s;
-  }
-  if (log) {
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(WalOp::kDropTable));
-    w.PutString(stmt.table);
-    ByteWriter begin_record, commit_record;
-    begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-    commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-    DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  }
-  return Status::OK();
-}
-
-void Database::IndexInsert(TableInfo* table, const Row& row, RowId rid) {
-  for (const auto& index : table->indexes) {
-    index->tree->Insert(row[index->column_index], rid);
-  }
-}
-
-void Database::IndexRemove(TableInfo* table, const Row& row, RowId rid) {
-  for (const auto& index : table->indexes) {
-    index->tree->Remove(row[index->column_index], rid);
-  }
-}
-
-Status Database::ApplyInsertRow(TableInfo* table, Row row, bool log) {
-  DFLOW_ASSIGN_OR_RETURN(Row validated,
-                         table->heap->schema().ValidateRow(std::move(row)));
-  if (log) {
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(WalOp::kInsert));
-    w.PutString(table->name);
-    EncodeRow(validated, w);
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-  }
-  DFLOW_ASSIGN_OR_RETURN(RowId rid, table->heap->Insert(validated));
-  IndexInsert(table, validated, rid);
-  return Status::OK();
-}
-
-Result<int64_t> Database::ApplyInsert(const InsertStmt& stmt, bool log) {
-  DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(stmt.table));
-  const Schema& schema = table->heap->schema();
-
-  // Map of insert columns -> schema positions (empty = positional).
-  std::vector<size_t> positions;
-  if (!stmt.columns.empty()) {
-    for (const std::string& col : stmt.columns) {
-      DFLOW_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col));
-      positions.push_back(idx);
-    }
-  }
-
-  int64_t affected = 0;
-  static const Row kEmptyRow;
-  for (const std::vector<ExprPtr>& exprs : stmt.rows) {
-    Row row;
-    if (positions.empty()) {
-      if (exprs.size() != schema.NumColumns()) {
-        return Status::InvalidArgument("INSERT arity mismatch");
-      }
-      for (const ExprPtr& e : exprs) {
-        DFLOW_ASSIGN_OR_RETURN(Value v, e->Eval(kEmptyRow));
-        row.push_back(std::move(v));
-      }
-    } else {
-      if (exprs.size() != positions.size()) {
-        return Status::InvalidArgument("INSERT arity mismatch");
-      }
-      row.assign(schema.NumColumns(), Value::Null());
-      for (size_t i = 0; i < exprs.size(); ++i) {
-        DFLOW_ASSIGN_OR_RETURN(Value v, exprs[i]->Eval(kEmptyRow));
-        row[positions[i]] = std::move(v);
-      }
-    }
-    DFLOW_RETURN_IF_ERROR(ApplyInsertRow(table, std::move(row), log));
-    ++affected;
-  }
-  return affected;
-}
-
-Result<int64_t> Database::ApplyUpdate(const UpdateStmt& stmt, bool log) {
+Result<int64_t> Database::ApplyUpdate(const UpdateStmt& stmt) {
   DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(stmt.table));
   const Schema& schema = table->heap->schema();
   std::vector<std::pair<size_t, ExprPtr>> assignments;
@@ -573,48 +464,96 @@ Result<int64_t> Database::ApplyUpdate(const UpdateStmt& stmt, bool log) {
     assignments.emplace_back(idx, expr);
   }
   DFLOW_ASSIGN_OR_RETURN(auto matches, CollectMatches(*table, stmt.where));
-  int64_t affected = 0;
   for (auto& [rid, row] : matches) {
     Row new_row = row;
     for (const auto& [idx, expr] : assignments) {
       DFLOW_ASSIGN_OR_RETURN(Value v, expr->Eval(row));
       new_row[idx] = std::move(v);
     }
-    DFLOW_ASSIGN_OR_RETURN(Row validated,
-                           schema.ValidateRow(std::move(new_row)));
-    if (log) {
-      ByteWriter w;
-      w.PutU8(static_cast<uint8_t>(WalOp::kUpdate));
-      w.PutString(table->name);
-      EncodeRowId(w, rid);
-      EncodeRow(validated, w);
-      DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    }
-    IndexRemove(table, row, rid);
-    DFLOW_ASSIGN_OR_RETURN(RowId new_rid, table->heap->Update(rid, validated));
-    IndexInsert(table, validated, new_rid);
-    ++affected;
+    DFLOW_ASSIGN_OR_RETURN(new_row, schema.ValidateRow(std::move(new_row)));
+    DFLOW_RETURN_IF_ERROR(ApplyUpdateRow(table, rid, row, new_row));
   }
-  return affected;
+  return static_cast<int64_t>(matches.size());
 }
 
-Result<int64_t> Database::ApplyDelete(const DeleteStmt& stmt, bool log) {
+Result<int64_t> Database::ApplyDelete(const DeleteStmt& stmt) {
   DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(stmt.table));
   DFLOW_ASSIGN_OR_RETURN(auto matches, CollectMatches(*table, stmt.where));
-  int64_t affected = 0;
   for (auto& [rid, row] : matches) {
-    if (log) {
-      ByteWriter w;
-      w.PutU8(static_cast<uint8_t>(WalOp::kDelete));
-      w.PutString(table->name);
-      EncodeRowId(w, rid);
-      DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    }
-    IndexRemove(table, row, rid);
-    DFLOW_RETURN_IF_ERROR(table->heap->Delete(rid));
-    ++affected;
+    DFLOW_RETURN_IF_ERROR(ApplyDeleteRow(table, rid, row));
   }
-  return affected;
+  return static_cast<int64_t>(matches.size());
+}
+
+// DDL steps apply, then log (they touch no page, so no LSN orders them):
+// a failed DDL statement logs no record of its own.
+Status Database::ApplyCreateTable(const std::string& name, Schema schema) {
+  DFLOW_RETURN_IF_ERROR(catalog_.AddTable(name, std::move(schema)));
+  return logging() ? wal_->Append(CreateTableRecord(
+                         name, catalog_.Find(name)->heap->schema()))
+                   : Status::OK();
+}
+
+Status Database::ApplyCreateIndex(const std::string& index_name,
+                                  const std::string& table_name,
+                                  const std::string& column) {
+  DFLOW_ASSIGN_OR_RETURN(TableInfo * table, catalog_.Get(table_name));
+  for (const auto& index : table->indexes) {
+    if (index->name == index_name) {
+      return Status::AlreadyExists("index '" + index_name +
+                                   "' already exists");
+    }
+  }
+  DFLOW_ASSIGN_OR_RETURN(size_t column_index,
+                         table->heap->schema().IndexOf(column));
+  auto info = std::make_unique<IndexInfo>();
+  info->name = index_name;
+  info->column = column;
+  info->column_index = column_index;
+  info->tree = std::make_unique<BTreeIndex>();
+  // Backfill from existing rows.
+  DFLOW_RETURN_IF_ERROR(table->heap->ForEach([&](RowId rid, const Row& row) {
+    info->tree->Insert(row[column_index], rid);
+    return true;
+  }));
+  table->indexes.push_back(std::move(info));
+  return logging() ? wal_->Append(
+                         CreateIndexRecord(index_name, table_name, column))
+                   : Status::OK();
+}
+
+Status Database::ApplyDropTable(const std::string& table) {
+  DFLOW_RETURN_IF_ERROR(catalog_.DropTable(table));
+  return logging() ? wal_->Append(DropTableRecord(table)) : Status::OK();
+}
+
+Status Database::ApplyInsertRow(TableInfo* table, const Row& row) {
+  if (logging()) {
+    DFLOW_RETURN_IF_ERROR(wal_->Append(InsertRecord(table->name, row)));
+  }
+  DFLOW_ASSIGN_OR_RETURN(RowId rid, table->heap->Insert(row));
+  IndexInsert(table, row, rid);
+  return Status::OK();
+}
+
+Status Database::ApplyDeleteRow(TableInfo* table, RowId rid, const Row& row) {
+  if (logging()) {
+    DFLOW_RETURN_IF_ERROR(wal_->Append(DeleteRecord(table->name, rid)));
+  }
+  IndexRemove(table, row, rid);
+  return table->heap->Delete(rid);
+}
+
+Status Database::ApplyUpdateRow(TableInfo* table, RowId rid,
+                                const Row& old_row, const Row& new_row) {
+  if (logging()) {
+    DFLOW_RETURN_IF_ERROR(
+        wal_->Append(UpdateRecord(table->name, rid, new_row)));
+  }
+  IndexRemove(table, old_row, rid);
+  DFLOW_ASSIGN_OR_RETURN(RowId new_rid, table->heap->Update(rid, new_row));
+  IndexInsert(table, new_row, new_rid);
+  return Status::OK();
 }
 
 }  // namespace dflow::db

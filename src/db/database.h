@@ -38,14 +38,18 @@ struct DatabaseOptions {
 /// transaction at a time (the engine is single-threaded by design; the
 /// simulation layer models concurrency). Inside a transaction, mutations
 /// are buffered and applied atomically at COMMIT; reads see the
-/// pre-transaction state until then.
+/// pre-transaction state until then. INSERT rows are checked when the
+/// statement runs, so a bad row fails its own call. DDL is its own
+/// transaction, applied at once. A durable database's log is flushed
+/// before any commit or DDL statement returns.
 class Database {
  public:
   /// In-memory database with no durability.
   Database();
   explicit Database(DatabaseOptions options);
 
-  /// Durable database backed by a WAL at `path`; replays existing log.
+  /// Durable database backed by a WAL at `path`; replays the committed
+  /// transactions of an existing log, after cutting off any torn tail.
   /// The buffer pool spills to `path + ".pages"` (session-scoped: created
   /// fresh on every Open — the WAL is the database of record).
   static Result<std::unique_ptr<Database>> Open(const std::string& path,
@@ -63,7 +67,7 @@ class Database {
   Status CreateIndex(std::string index_name, const std::string& table,
                      const std::string& column);
   Status Insert(const std::string& table, Row row);
-  /// Bulk insert of many rows in one transaction.
+  /// Bulk insert of many rows in one transaction; a bad row inserts none.
   Status InsertMany(const std::string& table, std::vector<Row> rows);
 
   Status Begin();
@@ -95,31 +99,44 @@ class Database {
   void SetTracer(obs::Tracer* tracer) { pool_->SetTracer(tracer); }
 
  private:
+  using Op = std::function<Result<int64_t>()>;
+
   Database(DatabaseOptions options, std::unique_ptr<PageStore> store);
 
   Result<QueryResult> Dispatch(Statement stmt);
 
-  // Immediate-apply internals; log = whether to emit WAL records.
-  Status ApplyCreateTable(const CreateTableStmt& stmt, bool log);
-  Status ApplyCreateIndex(const CreateIndexStmt& stmt, bool log);
-  Status ApplyDropTable(const DropTableStmt& stmt, bool log);
-  Result<int64_t> ApplyInsert(const InsertStmt& stmt, bool log);
-  Result<int64_t> ApplyUpdate(const UpdateStmt& stmt, bool log);
-  Result<int64_t> ApplyDelete(const DeleteStmt& stmt, bool log);
-  Status ApplyInsertRow(TableInfo* table, Row row, bool log);
+  /// The one transaction frame: kBegin, the records `body` logs, kCommit,
+  /// then Sync(). Autocommit DML, Commit(), DDL and the checkpoint snapshot
+  /// all frame through here; `log` is null for a volatile database.
+  static Status Frame(WalWriter* log, const std::function<Status()>& body);
 
-  // Index maintenance.
-  static void IndexInsert(TableInfo* table, const Row& row, RowId rid);
-  static void IndexRemove(TableInfo* table, const Row& row, RowId rid);
+  /// Runs `op` now, framed as its own transaction, or buffers it for
+  /// Commit() if a transaction is open.
+  Result<int64_t> RunOrBuffer(Op op);
 
-  // WAL plumbing.
-  Status LogRecord(std::string payload);
+  // Each step applies one WAL record and, unless replaying_, logs it with
+  // that kind's one encoder (row steps log first, so the record's LSN
+  // covers the page they dirty). Live statements, ReplayRecord and
+  // Checkpoint() all change the catalog through them.
+  Status ApplyCreateTable(const std::string& name, Schema schema);
+  Status ApplyCreateIndex(const std::string& index_name,
+                          const std::string& table, const std::string& column);
+  Status ApplyDropTable(const std::string& table);
+  Status ApplyInsertRow(TableInfo* table, const Row& row);
+  Status ApplyDeleteRow(TableInfo* table, RowId rid, const Row& row);
+  Status ApplyUpdateRow(TableInfo* table, RowId rid, const Row& old_row,
+                        const Row& new_row);
+
+  /// Checks every row against `table`'s schema, then inserts them as one
+  /// buffered or autocommit op: a bad row fails its own call and nothing
+  /// of the call is applied.
+  Result<int64_t> InsertRows(const std::string& table, std::vector<Row> rows);
+  Result<int64_t> ApplyUpdate(const UpdateStmt& stmt);
+  Result<int64_t> ApplyDelete(const DeleteStmt& stmt);
+
+  bool logging() const { return wal_ != nullptr && !replaying_; }
   Status ReplayRecord(std::string_view payload);
-  Status Recover(const std::string& path);
-
-  /// Runs `op` now (autocommit, wrapped in an implicit transaction) or
-  /// buffers it if a transaction is open. `op` must do its own logging.
-  Result<int64_t> RunOrBuffer(std::function<Result<int64_t>()> op);
+  Status Recover(const std::vector<std::string>& records);
 
   std::unique_ptr<BufferPool> pool_;  // Before catalog_: tables point at it.
   Catalog catalog_;
@@ -127,8 +144,7 @@ class Database {
   std::string wal_path_;
   bool in_txn_ = false;
   bool replaying_ = false;
-  uint64_t recovered_lsn_ = 0;
-  std::vector<std::function<Result<int64_t>()>> pending_;
+  std::vector<Op> pending_;
 };
 
 }  // namespace dflow::db

@@ -2,10 +2,48 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
 #include "util/crc32.h"
 
 namespace dflow::db {
+
+namespace {
+
+// The one reader of the frame format. Reads frames from the start of
+// `file` until the first torn or corrupt one, appending each intact
+// payload to `records` (if given), and returns the offset just past the
+// last intact frame.
+long ReadFrames(std::FILE* file, std::vector<std::string>* records) {
+  long intact_end = 0;
+  while (true) {
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    if (std::fread(&len, sizeof(len), 1, file) != 1) {
+      break;  // Clean end of log.
+    }
+    if (std::fread(&crc, sizeof(crc), 1, file) != 1) {
+      break;  // Torn header.
+    }
+    if (len > (64u << 20)) {
+      break;  // Implausible length: corrupt tail.
+    }
+    std::string payload(len, '\0');
+    if (len > 0 && std::fread(payload.data(), len, 1, file) != 1) {
+      break;  // Torn payload.
+    }
+    if (Crc32::Of(payload) != crc) {
+      break;  // Corrupt record.
+    }
+    intact_end += 8 + static_cast<long>(len);
+    if (records != nullptr) {
+      records->push_back(std::move(payload));
+    }
+  }
+  return intact_end;
+}
+
+}  // namespace
 
 WalWriter::~WalWriter() {
   if (file_ != nullptr) {
@@ -13,13 +51,32 @@ WalWriter::~WalWriter() {
   }
 }
 
-Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(
+    const std::string& path, std::vector<std::string>* records) {
+  // "a+": reads from anywhere, every write appends, creates a missing file.
+  std::FILE* file = std::fopen(path.c_str(), "a+b");
   if (file == nullptr) {
     return Status::IOError("cannot open WAL '" + path +
                            "': " + std::strerror(errno));
   }
-  return std::unique_ptr<WalWriter>(new WalWriter(file));
+  auto writer = std::unique_ptr<WalWriter>(new WalWriter(file));
+  std::rewind(file);
+  const long intact_end = ReadFrames(file, records);
+  if (std::fseek(file, 0, SEEK_END) != 0) {
+    return Status::IOError("cannot seek WAL '" + path + "'");
+  }
+  if (std::ftell(file) > intact_end) {
+    // Cut the torn tail off, so new records follow the intact ones instead
+    // of sitting behind bytes every reader stops at.
+    std::error_code ec;
+    std::filesystem::resize_file(path, static_cast<uintmax_t>(intact_end),
+                                 ec);
+    if (ec) {
+      return Status::IOError("cannot cut the torn tail of WAL '" + path +
+                             "': " + ec.message());
+    }
+  }
+  return writer;
 }
 
 Status WalWriter::Append(std::string_view payload) {
@@ -57,26 +114,7 @@ Result<std::vector<std::string>> WalReadAll(const std::string& path) {
     return Status::NotFound("no WAL at '" + path + "'");
   }
   std::vector<std::string> records;
-  while (true) {
-    uint32_t len, crc;
-    if (std::fread(&len, sizeof(len), 1, file) != 1) {
-      break;  // Clean end of log.
-    }
-    if (std::fread(&crc, sizeof(crc), 1, file) != 1) {
-      break;  // Torn header.
-    }
-    if (len > (64u << 20)) {
-      break;  // Implausible length: corrupt tail.
-    }
-    std::string payload(len, '\0');
-    if (len > 0 && std::fread(payload.data(), len, 1, file) != 1) {
-      break;  // Torn payload.
-    }
-    if (Crc32::Of(payload) != crc) {
-      break;  // Corrupt record.
-    }
-    records.push_back(std::move(payload));
-  }
+  ReadFrames(file, &records);
   std::fclose(file);
   return records;
 }

@@ -35,8 +35,12 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Opens `path` for appending (creates it if missing).
-  static Result<std::unique_ptr<WalWriter>> Open(const std::string& path);
+  /// Opens `path` for appending (creates it if missing). A torn or
+  /// corrupt tail, the bytes past the last intact frame, is cut off first.
+  /// `records`, if given, receives the intact records (WalReadAll's
+  /// result) from the same scan.
+  static Result<std::unique_ptr<WalWriter>> Open(
+      const std::string& path, std::vector<std::string>* records = nullptr);
 
   Status Append(std::string_view payload);
   Status Sync();

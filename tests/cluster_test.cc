@@ -409,12 +409,14 @@ TEST(ClusterTest, CorruptJournalRecordLeavesNodeDeadAndUntouched) {
     }
     const std::string state = (*cluster)->DescribeState();
     const int64_t replayed = (*cluster)->Stats().journal_replayed;
+    const std::string on_disk = ReadFile(journal);
 
     Status rejoin = (*cluster)->RejoinNode("node0");
     EXPECT_TRUE(rejoin.IsCorruption()) << rejoin.ToString();
     EXPECT_FALSE((*cluster)->IsAlive("node0"));
     EXPECT_EQ((*cluster)->DescribeState(), state);
     EXPECT_EQ((*cluster)->Stats().journal_replayed, replayed);
+    EXPECT_EQ(ReadFile(journal), on_disk);  // The journal file is untouched.
   }
   std::filesystem::remove_all(dir);
 }

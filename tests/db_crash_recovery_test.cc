@@ -15,6 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "db/database.h"
 
 namespace dflow::db {
@@ -163,7 +166,42 @@ TEST_F(TornTailTest, FinalTransactionTornAtEveryByte) {
       EXPECT_EQ(rows, 20);
       EXPECT_EQ(count->rows[0][1].AsInt(), 3);
     }
+
+    // A transaction committed after recovering over the tear must survive
+    // the next open: Open cut the torn bytes, so the new records follow
+    // the intact ones instead of sitting behind the tear.
+    ASSERT_TRUE((*db)->Begin().ok());
+    ASSERT_TRUE((*db)->Execute("INSERT INTO t VALUES (9, 0)").ok());
+    ASSERT_TRUE((*db)->Commit().ok());
+    db->reset();
+    auto reopened = Database::Open(cut_path);
+    ASSERT_TRUE(reopened.ok()) << "cut at " << cut;
+    auto after = (*reopened)->Execute("SELECT COUNT(*), MAX(txn) FROM t");
+    ASSERT_TRUE(after.ok()) << "cut at " << cut;
+    EXPECT_EQ(after->rows[0][0].AsInt(), rows + 1) << "cut at " << cut;
+    EXPECT_EQ(after->rows[0][1].AsInt(), 9) << "cut at " << cut;
   }
+}
+
+// An acknowledged CREATE TABLE is durable: a process that dies right after
+// it returns (no destructors, no stdio flush at exit) still leaves the
+// table in the log.
+TEST_F(TornTailTest, AcknowledgedDdlSurvivesProcessDeath) {
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    auto db = Database::Open(path_.string());
+    const bool created =
+        db.ok() && (*db)->Execute("CREATE TABLE t (k INT)").ok();
+    _exit(created ? 0 : 1);
+  }
+  int wait_status = 0;
+  ASSERT_EQ(waitpid(child, &wait_status, 0), child);
+  ASSERT_TRUE(WIFEXITED(wait_status));
+  ASSERT_EQ(WEXITSTATUS(wait_status), 0);
+  auto db = Database::Open(path_.string());
+  ASSERT_TRUE(db.ok());
+  EXPECT_NE((*db)->catalog().Find("t"), nullptr);
 }
 
 // SIGKILL mid-PAGE-writeback: the buffer pool's spill store dies after an

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "db/database.h"
 
@@ -64,6 +66,42 @@ TEST_F(WalTest, TornTailIsDropped) {
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0], "intact");
+}
+
+// A writer opened over a torn tail cuts the tail off first, so what it
+// appends follows the intact frames instead of sitting behind bytes every
+// reader stops at. Swept over every byte of the last frame.
+TEST_F(WalTest, OpenCutsTornTailBeforeAppending) {
+  const std::string last = "torn last frame";
+  {
+    auto writer = WalWriter::Open(path_.string());
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Append("first").ok());
+    ASSERT_TRUE((*writer)->Append("second").ok());
+    ASSERT_TRUE((*writer)->Append(last).ok());
+    ASSERT_TRUE((*writer)->Sync().ok());
+  }
+  std::string full;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    full.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const size_t last_start = full.size() - 8 - last.size();
+  for (size_t cut = last_start; cut < full.size(); ++cut) {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc)
+        << full.substr(0, cut);
+    {
+      auto writer = WalWriter::Open(path_.string());
+      ASSERT_TRUE(writer.ok()) << "cut at " << cut;
+      ASSERT_TRUE((*writer)->Append("after").ok());
+      ASSERT_TRUE((*writer)->Sync().ok());
+    }
+    auto records = WalReadAll(path_.string());
+    ASSERT_TRUE(records.ok());
+    EXPECT_EQ(*records,
+              (std::vector<std::string>{"first", "second", "after"}))
+        << "cut at " << cut;
+  }
 }
 
 TEST_F(WalTest, CorruptPayloadStopsScan) {
@@ -154,10 +192,45 @@ TEST_F(WalTest, InsertManyIsAtomic) {
       rows.push_back({Value::Int(i)});
     }
     ASSERT_TRUE((*db)->InsertMany("t", std::move(rows)).ok());
+
+    // A bad row fails the whole batch before anything is applied: the
+    // table keeps its one row, in memory and after reopen.
+    ASSERT_TRUE((*db)->CreateTable(
+        "u", Schema({{"x", Type::kInt64, false}})).ok());
+    ASSERT_TRUE((*db)->Insert("u", {Value::Int(0)}).ok());
+    std::vector<Row> bad = {{Value::Int(1)}, {Value::Null()}, {Value::Int(3)}};
+    EXPECT_TRUE((*db)->InsertMany("u", std::move(bad)).IsInvalidArgument());
+    EXPECT_FALSE((*db)->in_transaction());
+    EXPECT_EQ((*db)->Execute("SELECT COUNT(*) FROM u")->rows[0][0].AsInt(), 1);
   }
   auto db = Database::Open(path_.string());
   EXPECT_EQ((*db)->Execute("SELECT COUNT(*) FROM t")->rows[0][0].AsInt(),
             100);
+  EXPECT_EQ((*db)->Execute("SELECT COUNT(*) FROM u")->rows[0][0].AsInt(), 1);
+}
+
+// SQL INSERT rows are checked when the statement runs, buffered or not: a
+// bad row fails its own statement and none of the statement's rows apply.
+TEST_F(WalTest, BadSqlInsertRowFailsItsOwnStatement) {
+  {
+    auto db = Database::Open(path_.string());
+    ASSERT_TRUE((*db)->Execute("CREATE TABLE u (x INT NOT NULL)").ok());
+    EXPECT_TRUE((*db)->Execute("INSERT INTO u VALUES (1), (NULL)")
+                    .status()
+                    .IsInvalidArgument());
+    ASSERT_TRUE((*db)->Execute("BEGIN").ok());
+    ASSERT_TRUE((*db)->Execute("INSERT INTO u VALUES (2)").ok());
+    EXPECT_TRUE((*db)->Execute("INSERT INTO u VALUES (3), ('x')")
+                    .status()
+                    .IsInvalidArgument());
+    ASSERT_TRUE((*db)->Execute("COMMIT").ok());
+    EXPECT_EQ((*db)->Execute("SELECT COUNT(*) FROM u")->rows[0][0].AsInt(), 1);
+  }
+  auto db = Database::Open(path_.string());
+  auto rows = (*db)->Execute("SELECT x FROM u");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 2);
 }
 
 }  // namespace
