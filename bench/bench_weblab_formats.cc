@@ -2,13 +2,16 @@
 // Paper (Section 4.1): "Each compressed ARC file is about 100 MB big ...
 // there is a metadata file in the DAT file format, also compressed ...
 // average about 15 MB"; the preload subsystem "uncompresses them, parses
-// them to extract relevant information".
+// them to extract relevant information". Also times the full-text index
+// built over the parsed pages and the tokenizer it shares with burst
+// detection.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "util/units.h"
+#include "weblab/analysis.h"
 #include "weblab/arc_format.h"
 #include "weblab/crawler.h"
 
@@ -26,12 +29,17 @@ std::vector<weblab::WebPage> SharedPages() {
   return pages;
 }
 
+int64_t ContentBytes(const std::vector<weblab::WebPage>& pages) {
+  int64_t bytes = 0;
+  for (const auto& page : pages) {
+    bytes += static_cast<int64_t>(page.content.size());
+  }
+  return bytes;
+}
+
 void BM_WriteArcFile(benchmark::State& state) {
   auto pages = SharedPages();
-  int64_t raw_bytes = 0;
-  for (const auto& page : pages) {
-    raw_bytes += static_cast<int64_t>(page.content.size());
-  }
+  const int64_t raw_bytes = ContentBytes(pages);
   int64_t compressed = 0;
   for (auto _ : state) {
     std::string blob = weblab::WriteArcFile(pages);
@@ -94,6 +102,39 @@ void BM_ArcToDatSizeRatio(benchmark::State& state) {
   state.counters["arc_to_dat_ratio"] = ratio;
 }
 BENCHMARK(BM_ArcToDatSizeRatio);
+
+// The full-text index behind WebLab search (Section 4: "full text indexes
+// are highly important"), built fresh over the crawl each iteration, as a
+// serving node builds it when it loads.
+void BM_InvertedIndexBuild(benchmark::State& state) {
+  auto pages = SharedPages();
+  int64_t postings = 0;
+  for (auto _ : state) {
+    weblab::InvertedIndex index;
+    for (const auto& page : pages) {
+      index.AddPage(page.url, page.content);
+    }
+    postings = index.num_postings();
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pages.size()));
+  state.SetBytesProcessed(state.iterations() * ContentBytes(pages));
+  state.counters["postings"] = static_cast<double>(postings);
+}
+BENCHMARK(BM_InvertedIndexBuild)->Unit(benchmark::kMillisecond);
+
+void BM_Tokenize(benchmark::State& state) {
+  auto pages = SharedPages();
+  for (auto _ : state) {
+    for (const auto& page : pages) {
+      std::vector<std::string> tokens = weblab::Tokenize(page.content);
+      benchmark::DoNotOptimize(tokens);
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * ContentBytes(pages));
+}
+BENCHMARK(BM_Tokenize)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

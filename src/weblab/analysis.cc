@@ -1,26 +1,57 @@
 #include "weblab/analysis.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <iterator>
 #include <set>
 
 namespace dflow::weblab {
 
-std::vector<std::string> Tokenize(std::string_view text) {
-  std::vector<std::string> tokens;
-  std::string current;
+namespace {
+
+// The tokenizer's byte table: ASCII [0-9A-Za-z] map to their lowercase
+// form, every other byte to 0, a separator. This is isalnum/tolower in the
+// C locale, which the program never changes.
+constexpr std::array<char, 256> kTermBytes = [] {
+  std::array<char, 256> table{};
+  for (char c = '0'; c <= '9'; ++c) {
+    table[static_cast<unsigned char>(c)] = c;
+  }
+  for (char c = 'a'; c <= 'z'; ++c) {
+    table[static_cast<unsigned char>(c)] = c;
+    table[static_cast<unsigned char>(c - 'a' + 'A')] = c;
+  }
+  return table;
+}();
+
+// Calls `fn` with each token of `text`, in order. A view is valid only
+// during its call.
+template <typename Fn>
+void ForEachToken(std::string_view text, Fn&& fn) {
+  std::string lowered(text.size(), '\0');
+  char* out = lowered.data();
+  size_t len = 0;
   for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
+    const char lower = kTermBytes[static_cast<unsigned char>(c)];
+    if (lower != 0) {
+      out[len++] = lower;
+    } else if (len != 0) {
+      fn(std::string_view(out, len));
+      len = 0;
     }
   }
-  if (!current.empty()) {
-    tokens.push_back(std::move(current));
+  if (len != 0) {
+    fn(std::string_view(out, len));
   }
+}
+
+}  // namespace
+
+std::vector<std::string> Tokenize(std::string_view text) {
+  std::vector<std::string> tokens;
+  ForEachToken(text, [&tokens](std::string_view token) {
+    tokens.emplace_back(token);
+  });
   return tokens;
 }
 
@@ -134,36 +165,53 @@ std::vector<PageMetadata> StratifiedSampleByDomain(
 
 void InvertedIndex::AddPage(const std::string& url,
                             std::string_view content) {
-  auto [it, inserted] =
-      doc_ids_.try_emplace(url, static_cast<int>(docs_.size()));
-  if (inserted) {
+  const int doc =
+      doc_ids_.try_emplace(url, static_cast<int>(docs_.size())).first->second;
+  const bool fresh = doc == static_cast<int>(docs_.size());
+  if (fresh) {
     docs_.push_back(url);
   }
-  int doc = it->second;
-  std::set<std::string> unique_terms;
-  for (std::string& token : Tokenize(content)) {
-    unique_terms.insert(std::move(token));
-  }
-  for (const std::string& term : unique_terms) {
-    std::vector<int>& posting = postings_[term];
-    if (posting.empty() || posting.back() != doc) {
-      posting.push_back(doc);
+  ForEachToken(content, [&](std::string_view token) {
+    auto found = term_ids_.find(token);
+    if (found == term_ids_.end()) {
+      found = term_ids_.emplace(token, static_cast<int>(postings_.size()))
+                  .first;
+      postings_.emplace_back();
+      last_doc_.push_back(-1);
+    }
+    const size_t id = static_cast<size_t>(found->second);
+    if (last_doc_[id] == doc) {
+      return;
+    }
+    last_doc_[id] = doc;
+    std::vector<int>& posting = postings_[id];
+    // A fresh url has the highest doc id, so appending keeps the posting
+    // ascending; a re-added url may already be posted, or belong earlier.
+    auto pos = fresh ? posting.end()
+                     : std::lower_bound(posting.begin(), posting.end(), doc);
+    if (pos == posting.end() || *pos != doc) {
+      posting.insert(pos, doc);
       ++num_postings_;
     }
-  }
+  });
 }
 
-std::vector<std::string> InvertedIndex::Lookup(const std::string& term) const {
+std::vector<std::string> InvertedIndex::Urls(
+    const std::vector<int>& docs) const {
   std::vector<std::string> out;
-  auto it = postings_.find(term);
-  if (it == postings_.end()) {
-    return out;
-  }
-  out.reserve(it->second.size());
-  for (int doc : it->second) {
+  out.reserve(docs.size());
+  for (int doc : docs) {
     out.push_back(docs_[static_cast<size_t>(doc)]);
   }
   return out;
+}
+
+std::vector<std::string> InvertedIndex::Lookup(const std::string& term) const {
+  auto it = term_ids_.find(term);
+  if (it == term_ids_.end()) {
+    return {};
+  }
+  return Urls(postings_[static_cast<size_t>(it->second)]);
 }
 
 std::vector<std::string> InvertedIndex::LookupAll(
@@ -171,29 +219,27 @@ std::vector<std::string> InvertedIndex::LookupAll(
   if (terms.empty()) {
     return {};
   }
-  std::vector<int> current;
-  for (size_t i = 0; i < terms.size(); ++i) {
-    auto it = postings_.find(terms[i]);
-    if (it == postings_.end()) {
+  // Postings are ascending and unique, so they intersect as they are.
+  const std::vector<int>* current = nullptr;
+  std::vector<int> merged;
+  for (const std::string& term : terms) {
+    auto it = term_ids_.find(term);
+    if (it == term_ids_.end()) {
       return {};
     }
-    std::vector<int> sorted = it->second;
-    std::sort(sorted.begin(), sorted.end());
-    if (i == 0) {
-      current = std::move(sorted);
-    } else {
-      std::vector<int> merged;
-      std::set_intersection(current.begin(), current.end(), sorted.begin(),
-                            sorted.end(), std::back_inserter(merged));
-      current = std::move(merged);
+    const std::vector<int>& posting =
+        postings_[static_cast<size_t>(it->second)];
+    if (current == nullptr) {
+      current = &posting;
+      continue;
     }
+    std::vector<int> next;
+    std::set_intersection(current->begin(), current->end(), posting.begin(),
+                          posting.end(), std::back_inserter(next));
+    merged = std::move(next);
+    current = &merged;
   }
-  std::vector<std::string> out;
-  out.reserve(current.size());
-  for (int doc : current) {
-    out.push_back(docs_[static_cast<size_t>(doc)]);
-  }
-  return out;
+  return Urls(*current);
 }
 
 }  // namespace dflow::weblab

@@ -2,8 +2,11 @@
 #define DFLOW_WEBLAB_ANALYSIS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/result.h"
@@ -12,7 +15,8 @@
 
 namespace dflow::weblab {
 
-/// Splits page text into lowercase word tokens (alnum runs).
+/// Splits page text into lowercase word tokens: runs of ASCII [0-9A-Za-z].
+/// Every other byte, 0x80-0xFF included, separates tokens.
 std::vector<std::string> Tokenize(std::string_view text);
 
 /// A term whose frequency rose sharply in one crawl relative to its
@@ -67,24 +71,42 @@ std::string DomainOf(const std::string& url);
 
 /// Inverted full-text index over page content for one crawl ("full text
 /// indexes are highly important, but need not cover the entire Web").
+/// Terms are the tokens of Tokenize(). Each url is one document, numbered
+/// in the order it was first added; adding a url again posts its new terms
+/// under the same document.
 class InvertedIndex {
  public:
   void AddPage(const std::string& url, std::string_view content);
 
-  /// Urls containing `term`, in insertion order.
+  /// Urls containing `term`, in the order they were first added.
   std::vector<std::string> Lookup(const std::string& term) const;
 
-  /// Urls containing every term (conjunctive query).
+  /// Urls containing every term (conjunctive query), in the order they
+  /// were first added.
   std::vector<std::string> LookupAll(
       const std::vector<std::string>& terms) const;
 
   int64_t num_terms() const { return static_cast<int64_t>(postings_.size()); }
+  /// Distinct (term, document) pairs.
   int64_t num_postings() const { return num_postings_; }
+  /// Distinct urls added.
+  int64_t num_docs() const { return static_cast<int64_t>(docs_.size()); }
 
  private:
-  std::map<std::string, std::vector<int>> postings_;  // Term -> doc ids.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
+  std::vector<std::string> Urls(const std::vector<int>& docs) const;
+
+  std::unordered_map<std::string, int, TermHash, std::equal_to<>> term_ids_;
+  std::vector<std::vector<int>> postings_;  // Term id -> doc ids, ascending.
+  std::vector<int> last_doc_;               // Term id -> doc it last saw.
   std::vector<std::string> docs_;
-  std::map<std::string, int> doc_ids_;
+  std::unordered_map<std::string, int> doc_ids_;
   int64_t num_postings_ = 0;
 };
 

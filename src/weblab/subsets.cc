@@ -39,7 +39,7 @@ std::vector<std::pair<std::string, double>> SelectRelevantPages(
   // (more discriminative) terms rank above pages matching only ubiquitous
   // ones.
   const double num_docs =
-      std::max<double>(1.0, static_cast<double>(index.num_postings()));
+      std::max<double>(1.0, static_cast<double>(index.num_docs()));
   std::map<std::string, double> scores;
   for (const std::string& raw_term : topic_terms) {
     for (std::string& term : Tokenize(raw_term)) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace dflow::weblab {
 namespace {
 
@@ -103,6 +105,26 @@ TEST(FocusedSelectionTest, RareTermsWeighMore) {
     }
   }
   EXPECT_GT(rare_score, common_score);
+}
+
+TEST(FocusedSelectionTest, IdfCountsDocumentsNotPostings) {
+  InvertedIndex index;
+  for (int i = 0; i < 200; ++i) {
+    std::string content = "alpha beta";
+    for (int t = 0; t < 100; ++t) {
+      content += " p" + std::to_string(i) + "t" + std::to_string(t);
+    }
+    index.AddPage("bg" + std::to_string(i), content);
+  }
+  index.AddPage("rare", "gamma");
+  ASSERT_EQ(index.num_docs(), 201);
+
+  // gamma is on 1 page of 201, alpha and beta on 200: one rare match
+  // outweighs two ubiquitous ones.
+  auto ranked = SelectRelevantPages(index, {"gamma", "alpha", "beta"}, 3);
+  ASSERT_EQ(ranked.size(), 3u);
+  EXPECT_EQ(ranked[0].first, "rare");
+  EXPECT_NEAR(ranked[0].second, std::log(201.0) + 1.0, 1e-9);
 }
 
 TEST(FocusedSelectionTest, TopKAndEmptyTopics) {
