@@ -9,8 +9,8 @@
 // BENCH_db.json next to the binary.
 //
 // `--micro` mode: the original google-benchmark microbenchmarks (insert
-// paths, indexed vs sequential selection, aggregation, WAL overhead);
-// extra args pass through to the benchmark runner.
+// paths, B+Tree inserts, indexed vs sequential selection, aggregation, WAL
+// overhead); extra args pass through to the benchmark runner.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/report.h"
+#include "db/btree.h"
 #include "db/database.h"
 #include "util/md5.h"
 #include "util/rng.h"
@@ -88,6 +89,37 @@ void BM_InsertWithIndex(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InsertWithIndex);
+
+// The candidate index a serving node builds at set-up: 50k inserts keyed
+// by pointing (400 pointings x 125 rows), loaded in batches of 8 pointings
+// with row i of every pointing in the batch before row i + 1 of any, each
+// under the RowId the heap hands out next. A fresh index each iteration.
+void BM_BTreeInsert(benchmark::State& state) {
+  constexpr int kPointings = 400;
+  constexpr int kPerPointing = 125;
+  constexpr int kBatch = 8;
+  std::vector<int64_t> keys;
+  keys.reserve(kPointings * kPerPointing);
+  for (int first = 0; first < kPointings; first += kBatch) {
+    for (int i = 0; i < kPerPointing; ++i) {
+      for (int p = first; p < std::min(kPointings, first + kBatch); ++p) {
+        keys.push_back(p);
+      }
+    }
+  }
+  for (auto _ : state) {
+    db::BTreeIndex index;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      index.Insert(Value::Int(keys[i]),
+                   db::RowId{static_cast<uint32_t>(i / 64),
+                             static_cast<uint16_t>(i % 64)});
+    }
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_BTreeInsert)->Unit(benchmark::kMillisecond);
 
 void PopulatedDb(Database& db, int64_t rows, bool with_index) {
   (void)db.CreateTable("c", CandidateSchema());

@@ -4,12 +4,14 @@
 // average about 15 MB"; the preload subsystem "uncompresses them, parses
 // them to extract relevant information". Also times the full-text index
 // built over the parsed pages and the tokenizer it shares with burst
-// detection.
+// detection, and the wlz decode and CRC-32 under ReadArcFile.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
+#include "util/compress.h"
+#include "util/crc32.h"
 #include "util/units.h"
 #include "weblab/analysis.h"
 #include "weblab/arc_format.h"
@@ -102,6 +104,32 @@ void BM_ArcToDatSizeRatio(benchmark::State& state) {
   state.counters["arc_to_dat_ratio"] = ratio;
 }
 BENCHMARK(BM_ArcToDatSizeRatio);
+
+// The preload's decode kernels on the ARC blob of the 2,000-page crawl:
+// the whole wlz decode (token loop plus the CRC-32 over its output), and
+// the CRC-32 alone over the decoded bytes.
+void BM_WlzDecompress(benchmark::State& state) {
+  const std::string blob = weblab::WriteArcFile(SharedPages());
+  int64_t raw_bytes = 0;
+  for (auto _ : state) {
+    auto raw = WlzDecompress(blob);
+    raw_bytes = static_cast<int64_t>(raw->size());
+    benchmark::DoNotOptimize(raw);
+  }
+  state.SetBytesProcessed(state.iterations() * raw_bytes);
+}
+BENCHMARK(BM_WlzDecompress)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  const std::string raw = *WlzDecompress(weblab::WriteArcFile(SharedPages()));
+  for (auto _ : state) {
+    uint32_t crc = Crc32::Of(raw);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
 
 // The full-text index behind WebLab search (Section 4: "full text indexes
 // are highly important"), built fresh over the crawl each iteration, as a

@@ -26,6 +26,16 @@ int BTreeIndex::CompareEntry(const Entry& a, const Entry& b) {
   return a.rid < b.rid ? -1 : 1;
 }
 
+size_t BTreeIndex::ChildIndex(const Node& node, const Entry& entry) {
+  // Separators are sorted, so "separator <= entry" holds for a prefix of
+  // them and upper_bound finds the first one past it.
+  auto it = std::upper_bound(node.separators.begin(), node.separators.end(),
+                             entry, [](const Entry& e, const Entry& sep) {
+                               return CompareEntry(sep, e) > 0;
+                             });
+  return static_cast<size_t>(it - node.separators.begin());
+}
+
 void BTreeIndex::SplitChild(Node* parent, size_t child_idx) {
   Node* child = parent->children[child_idx].get();
   auto sibling = std::make_unique<Node>();
@@ -64,11 +74,7 @@ void BTreeIndex::SplitChild(Node* parent, size_t child_idx) {
 
 void BTreeIndex::InsertNonFull(Node* node, Entry entry) {
   while (!node->leaf) {
-    size_t idx = 0;
-    while (idx < node->separators.size() &&
-           CompareEntry(node->separators[idx], entry) <= 0) {
-      ++idx;
-    }
+    size_t idx = ChildIndex(*node, entry);
     Node* child = node->children[idx].get();
     bool full = child->leaf ? child->entries.size() >= max_keys_
                             : child->separators.size() >= max_keys_;
@@ -81,9 +87,8 @@ void BTreeIndex::InsertNonFull(Node* node, Entry entry) {
     }
     node = child;
   }
-  auto it = std::lower_bound(
-      node->entries.begin(), node->entries.end(), entry,
-      [](const Entry& a, const Entry& b) { return CompareEntry(a, b) < 0; });
+  auto it = std::lower_bound(node->entries.begin(), node->entries.end(),
+                             entry, EntryLess);
   node->entries.insert(it, std::move(entry));
 }
 
@@ -101,26 +106,19 @@ void BTreeIndex::Insert(const Value& key, RowId rid) {
   ++size_;
 }
 
-BTreeIndex::Node* BTreeIndex::FindLeaf(const Value& key, RowId rid) const {
-  Entry probe{key, rid};
+BTreeIndex::Node* BTreeIndex::FindLeaf(const Entry& probe) const {
   Node* node = root_.get();
   while (!node->leaf) {
-    size_t idx = 0;
-    while (idx < node->separators.size() &&
-           CompareEntry(node->separators[idx], probe) <= 0) {
-      ++idx;
-    }
-    node = node->children[idx].get();
+    node = node->children[ChildIndex(*node, probe)].get();
   }
   return node;
 }
 
 bool BTreeIndex::Remove(const Value& key, RowId rid) {
-  Node* leaf = FindLeaf(key, rid);
-  Entry probe{key, rid};
-  auto it = std::lower_bound(
-      leaf->entries.begin(), leaf->entries.end(), probe,
-      [](const Entry& a, const Entry& b) { return CompareEntry(a, b) < 0; });
+  const Entry probe{key, rid};
+  Node* leaf = FindLeaf(probe);
+  auto it = std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
+                             probe, EntryLess);
   if (it == leaf->entries.end() || CompareEntry(*it, probe) != 0) {
     return false;
   }
@@ -142,18 +140,25 @@ std::vector<RowId> BTreeIndex::Find(const Value& key) const {
 void BTreeIndex::Scan(
     const Value* lo, bool lo_inclusive, const Value* hi, bool hi_inclusive,
     const std::function<bool(const Value&, RowId)>& fn) const {
-  const Node* leaf;
+  // The first leaf is entered at the first entry not below lo; the entries
+  // before it hold smaller keys, which the lo check below would skip.
+  const Node* leaf = root_.get();
+  size_t first = 0;
   if (lo != nullptr) {
-    leaf = FindLeaf(*lo, kMinRowId);
+    const Entry probe{*lo, kMinRowId};
+    leaf = FindLeaf(probe);
+    first = static_cast<size_t>(
+        std::lower_bound(leaf->entries.begin(), leaf->entries.end(), probe,
+                         EntryLess) -
+        leaf->entries.begin());
   } else {
-    const Node* node = root_.get();
-    while (!node->leaf) {
-      node = node->children.front().get();
+    while (!leaf->leaf) {
+      leaf = leaf->children.front().get();
     }
-    leaf = node;
   }
-  for (; leaf != nullptr; leaf = leaf->next) {
-    for (const Entry& entry : leaf->entries) {
+  for (; leaf != nullptr; leaf = leaf->next, first = 0) {
+    for (size_t i = first; i < leaf->entries.size(); ++i) {
+      const Entry& entry = leaf->entries[i];
       if (lo != nullptr) {
         int c = entry.key.Compare(*lo);
         if (c < 0 || (c == 0 && !lo_inclusive)) {

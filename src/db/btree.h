@@ -59,7 +59,13 @@ class BTreeIndex {
   };
 
   static int CompareEntry(const Entry& a, const Entry& b);
-  Node* FindLeaf(const Value& key, RowId rid) const;
+  static bool EntryLess(const Entry& a, const Entry& b) {
+    return CompareEntry(a, b) < 0;
+  }
+  /// The child of internal `node` whose range holds `entry`: the first
+  /// separator greater than it, found by binary search.
+  static size_t ChildIndex(const Node& node, const Entry& entry);
+  Node* FindLeaf(const Entry& probe) const;
   /// Splits `child` (index `child_idx` of `parent`), which must be full.
   void SplitChild(Node* parent, size_t child_idx);
   void InsertNonFull(Node* node, Entry entry);

@@ -29,11 +29,20 @@ Result<BufferPool::PageRef> HeapTable::PinLocal(uint32_t local_page) const {
   return pool_->Pin(page_ids_[local_page]);
 }
 
-Result<RowId> HeapTable::Insert(Row row) {
-  DFLOW_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
-  ByteWriter w;
-  EncodeRow(validated, w);
-  DFLOW_ASSIGN_OR_RETURN(RowId id, InsertEncoded(w.data()));
+Result<std::string_view> HeapTable::Encode(const Row& row) {
+  DFLOW_ASSIGN_OR_RETURN(bool widens, schema_.CheckRow(row));
+  if (widens) {
+    DFLOW_ASSIGN_OR_RETURN(Row widened, schema_.ValidateRow(row));
+    return Encode(widened);
+  }
+  record_.Clear();
+  EncodeRow(row, record_);
+  return std::string_view(record_.data());
+}
+
+Result<RowId> HeapTable::Insert(const Row& row) {
+  DFLOW_ASSIGN_OR_RETURN(std::string_view record, Encode(row));
+  DFLOW_ASSIGN_OR_RETURN(RowId id, InsertEncoded(record));
   ++num_rows_;
   return id;
 }
@@ -74,13 +83,11 @@ Status HeapTable::Delete(RowId id) {
   return Status::OK();
 }
 
-Result<RowId> HeapTable::Update(RowId id, Row row) {
-  DFLOW_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
-  ByteWriter w;
-  EncodeRow(validated, w);
+Result<RowId> HeapTable::Update(RowId id, const Row& row) {
+  DFLOW_ASSIGN_OR_RETURN(std::string_view record, Encode(row));
   {
     DFLOW_ASSIGN_OR_RETURN(BufferPool::PageRef ref, PinLocal(id.page));
-    Status in_place = ref->Update(id.slot, w.data());
+    Status in_place = ref->Update(id.slot, record);
     if (in_place.ok()) {
       ref.MarkDirty();
       return id;
@@ -91,7 +98,7 @@ Result<RowId> HeapTable::Update(RowId id, Row row) {
     DFLOW_RETURN_IF_ERROR(ref->Delete(id.slot));
     ref.MarkDirty();
   }
-  return InsertEncoded(w.data());
+  return InsertEncoded(record);
 }
 
 }  // namespace dflow::db

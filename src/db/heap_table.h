@@ -8,6 +8,7 @@
 #include "db/buffer_pool.h"
 #include "db/page.h"
 #include "db/schema.h"
+#include "util/byte_buffer.h"
 #include "util/result.h"
 
 namespace dflow::db {
@@ -48,13 +49,13 @@ class HeapTable {
   const Schema& schema() const { return schema_; }
 
   /// Validates against the schema and stores the row.
-  Result<RowId> Insert(Row row);
+  Result<RowId> Insert(const Row& row);
 
   Result<Row> Get(RowId id) const;
   Status Delete(RowId id);
   /// In-place if it fits, else delete + reinsert (the returned RowId may
   /// differ from `id`).
-  Result<RowId> Update(RowId id, Row row);
+  Result<RowId> Update(RowId id, const Row& row);
 
   int64_t num_rows() const { return num_rows_; }
   size_t num_pages() const { return page_ids_.size(); }
@@ -89,6 +90,9 @@ class HeapTable {
   }
 
  private:
+  /// Checks `row` against the schema and encodes it into record_, widened
+  /// as ValidateRow widens it. Only a row that must widen is copied.
+  Result<std::string_view> Encode(const Row& row);
   Result<RowId> InsertEncoded(std::string_view record);
   Result<BufferPool::PageRef> PinLocal(uint32_t local_page) const;
 
@@ -97,6 +101,7 @@ class HeapTable {
   std::unique_ptr<BufferPool> owned_pool_;   // Fallback when none provided.
   std::vector<uint32_t> page_ids_;           // Local page n -> pool pid.
   int64_t num_rows_ = 0;
+  ByteWriter record_;                        // Reused by every Encode.
 };
 
 }  // namespace dflow::db

@@ -43,15 +43,16 @@ Result<size_t> Schema::IndexOf(std::string_view name) const {
   return Status::NotFound("no column named '" + std::string(name) + "'");
 }
 
-Result<Row> Schema::ValidateRow(Row row) const {
+Result<bool> Schema::CheckRow(const Row& row) const {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument(
         "row arity mismatch: got " + std::to_string(row.size()) +
         ", schema has " + std::to_string(columns_.size()));
   }
+  bool widens = false;
   for (size_t i = 0; i < row.size(); ++i) {
     const Column& col = columns_[i];
-    Value& v = row[i];
+    const Value& v = row[i];
     if (v.is_null()) {
       if (!col.nullable) {
         return Status::InvalidArgument("NULL in non-nullable column '" +
@@ -63,13 +64,26 @@ Result<Row> Schema::ValidateRow(Row row) const {
       continue;
     }
     if (v.type() == Type::kInt64 && col.type == Type::kDouble) {
-      v = Value::Double(static_cast<double>(v.AsInt()));
+      widens = true;
       continue;
     }
     return Status::InvalidArgument(
         "type mismatch in column '" + col.name + "': expected " +
         std::string(TypeToString(col.type)) + ", got " +
         std::string(TypeToString(v.type())));
+  }
+  return widens;
+}
+
+Result<Row> Schema::ValidateRow(Row row) const {
+  DFLOW_ASSIGN_OR_RETURN(bool widens, CheckRow(row));
+  if (widens) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (row[i].type() == Type::kInt64 &&
+          columns_[i].type == Type::kDouble) {
+        row[i] = Value::Double(static_cast<double>(row[i].AsInt()));
+      }
+    }
   }
   return row;
 }
@@ -86,7 +100,7 @@ void Schema::EncodeTo(ByteWriter& w) const {
 Result<Schema> Schema::DecodeFrom(ByteReader& r) {
   DFLOW_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
   std::vector<Column> columns;
-  columns.reserve(static_cast<size_t>(n));
+  columns.reserve(r.MaxItems(n));
   for (uint64_t i = 0; i < n; ++i) {
     Column col;
     DFLOW_ASSIGN_OR_RETURN(col.name, r.GetString());
@@ -125,7 +139,7 @@ void EncodeRow(const Row& row, ByteWriter& w) {
 Result<Row> DecodeRow(ByteReader& r) {
   DFLOW_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
   Row row;
-  row.reserve(static_cast<size_t>(n));
+  row.reserve(r.MaxItems(n));
   for (uint64_t i = 0; i < n; ++i) {
     DFLOW_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(r));
     row.push_back(std::move(v));

@@ -39,8 +39,11 @@ class Schema {
   Result<size_t> IndexOf(std::string_view name) const;
 
   /// Checks arity, column types (kInt64 widens to kDouble targets), and
-  /// nullability of `row` against this schema. Returns the row with any
-  /// widening applied.
+  /// nullability of `row` against this schema without copying it. Returns
+  /// whether some kInt64 value must widen to its kDouble column.
+  Result<bool> CheckRow(const Row& row) const;
+
+  /// CheckRow, then returns the row with any widening applied.
   Result<Row> ValidateRow(Row row) const;
 
   /// Serialization for the WAL and catalogs.

@@ -66,36 +66,50 @@ int TypeRank(Type t) {
   }
   return 4;
 }
+
+template <typename T>
+int ThreeWay(T a, T b) {
+  return (a > b) - (a < b);
+}
+
+// An unordered pair (a NaN on either side) compares as 1.
+int CompareDoubles(double a, double b) {
+  return a == b ? 0 : (a < b ? -1 : 1);
+}
+
 }  // namespace
 
 int Value::Compare(const Value& other) const {
-  int ra = TypeRank(type());
-  int rb = TypeRank(other.type());
+  // Same-type values, every index key's case, compare in one dispatch;
+  // only the kInt64/kDouble mix goes through the cross-type rank.
+  const Type a = type();
+  const Type b = other.type();
+  if (a == b) {
+    switch (a) {
+      case Type::kNull:
+        return 0;
+      case Type::kBool:
+        return ThreeWay(*std::get_if<bool>(&data_),
+                        *std::get_if<bool>(&other.data_));
+      case Type::kInt64:
+        return ThreeWay(*std::get_if<int64_t>(&data_),
+                        *std::get_if<int64_t>(&other.data_));
+      case Type::kDouble:
+        return CompareDoubles(*std::get_if<double>(&data_),
+                              *std::get_if<double>(&other.data_));
+      case Type::kString:
+        return ThreeWay(std::get_if<std::string>(&data_)->compare(
+                            *std::get_if<std::string>(&other.data_)),
+                        0);
+    }
+    return 0;
+  }
+  int ra = TypeRank(a);
+  int rb = TypeRank(b);
   if (ra != rb) {
     return ra < rb ? -1 : 1;
   }
-  switch (type()) {
-    case Type::kNull:
-      return 0;
-    case Type::kBool: {
-      bool a = AsBool(), b = other.AsBool();
-      return a == b ? 0 : (a < b ? -1 : 1);
-    }
-    case Type::kInt64:
-    case Type::kDouble: {
-      if (type() == Type::kInt64 && other.type() == Type::kInt64) {
-        int64_t a = AsInt(), b = other.AsInt();
-        return a == b ? 0 : (a < b ? -1 : 1);
-      }
-      double a = AsDouble(), b = other.AsDouble();
-      return a == b ? 0 : (a < b ? -1 : 1);
-    }
-    case Type::kString:
-      return AsString().compare(other.AsString()) < 0
-                 ? -1
-                 : (AsString() == other.AsString() ? 0 : 1);
-  }
-  return 0;
+  return CompareDoubles(AsDouble(), other.AsDouble());
 }
 
 void Value::EncodeTo(ByteWriter& w) const {

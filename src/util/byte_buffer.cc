@@ -50,24 +50,12 @@ Result<double> ByteReader::GetDouble() {
 }
 
 Result<uint64_t> ByteReader::GetVarint() {
+  const char* p = data_.data() + pos_;
   uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos_ >= data_.size()) {
-      return Status::Corruption("truncated varint");
-    }
-    uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    if (shift >= 63 && (byte >> (70 - shift)) != 0) {
-      return Status::Corruption("varint overflow");
-    }
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      break;
-    }
-    shift += 7;
-    if (shift > 63) {
-      return Status::Corruption("varint too long");
-    }
+  const char* error = DecodeVarint(&p, data_.data() + data_.size(), &v);
+  pos_ = static_cast<size_t>(p - data_.data());
+  if (error != nullptr) {
+    return Status::Corruption(error);
   }
   return v;
 }

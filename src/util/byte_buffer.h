@@ -1,6 +1,7 @@
 #ifndef DFLOW_UTIL_BYTE_BUFFER_H_
 #define DFLOW_UTIL_BYTE_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -51,6 +52,9 @@ class ByteWriter {
   size_t size() const { return buf_.size(); }
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, for a writer reused per
+  /// record.
+  void Clear() { buf_.clear(); }
 
  private:
   template <typename T>
@@ -62,6 +66,35 @@ class ByteWriter {
 
   std::string buf_;
 };
+
+/// Decodes the unsigned LEB128 varint at `*p`, reading no byte at or past
+/// `end`, and advances `*p` past the bytes it read. Returns nullptr and
+/// stores the value in `*value`, or returns why the bytes are not a varint:
+/// truncated, or wider than 64 bits. The one varint decoder:
+/// ByteReader::GetVarint and WlzDecompress's token loop both call it.
+inline const char* DecodeVarint(const char** p, const char* end,
+                                uint64_t* value) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (true) {
+    if (*p == end) {
+      return "truncated varint";
+    }
+    const uint8_t byte = static_cast<uint8_t>(*(*p)++);
+    if (shift >= 63 && (byte >> (70 - shift)) != 0) {
+      return "varint overflow";
+    }
+    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = v;
+      return nullptr;
+    }
+    shift += 7;
+    if (shift > 63) {
+      return "varint too long";
+    }
+  }
+}
 
 /// Bounds-checked reader over a byte string produced by ByteWriter.
 /// All getters return Status/Result rather than asserting, because readers
@@ -87,6 +120,12 @@ class ByteReader {
   Result<std::string> GetRaw(size_t len);
 
   size_t remaining() const { return data_.size() - pos_; }
+  /// The most items of at least one byte each that the unread bytes can
+  /// hold, capped at `count`: what a decoder may reserve for a count it
+  /// has read but not yet checked.
+  size_t MaxItems(uint64_t count) const {
+    return static_cast<size_t>(std::min<uint64_t>(count, remaining()));
+  }
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t position() const { return pos_; }
 

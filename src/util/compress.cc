@@ -113,44 +113,73 @@ Result<std::string> WlzDecompress(std::string_view compressed) {
   DFLOW_ASSIGN_OR_RETURN(uint64_t expected_size, r.GetVarint());
   DFLOW_ASSIGN_OR_RETURN(uint32_t expected_crc, r.GetU32());
 
-  // The size header is untrusted until the trailing CRC passes: a flipped
-  // bit in the varint must not drive a giant allocation. Reserve only up to
-  // a sanity cap; larger outputs grow geometrically as tokens are decoded,
-  // and every token is bounds-checked against expected_size below.
+  // One pass over the token stream. The size header is untrusted until the
+  // trailing CRC passes: a flipped bit in the varint must not drive a giant
+  // allocation. So the upfront reserve is capped, every token is
+  // bounds-checked against the header before it is decoded, and `out`
+  // doubles only as decoded tokens need it, never past the header.
+  // out.size() >= produced throughout; the two are equal once produced
+  // reaches expected_size.
   constexpr uint64_t kMaxUpfrontReserve = uint64_t{1} << 20;
+  const char* p = compressed.data() + r.position();
+  const char* const end = compressed.data() + compressed.size();
   std::string out;
   out.reserve(static_cast<size_t>(
       std::min<uint64_t>(expected_size, kMaxUpfrontReserve)));
-  while (!r.AtEnd()) {
-    DFLOW_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-    if (tag == 0x00) {
-      DFLOW_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
-      if (out.size() + len > expected_size) {
-        return Status::Corruption("wlz: output overflow");
-      }
-      DFLOW_ASSIGN_OR_RETURN(std::string bytes,
-                             r.GetRaw(static_cast<size_t>(len)));
-      out += bytes;
-    } else if (tag == 0x01) {
-      DFLOW_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
-      DFLOW_ASSIGN_OR_RETURN(uint64_t dist, r.GetVarint());
-      if (dist == 0 || dist > out.size()) {
-        return Status::Corruption("wlz: invalid match distance");
-      }
-      if (out.size() + len > expected_size) {
-        return Status::Corruption("wlz: output overflow");
-      }
-      // Byte-by-byte copy: matches may overlap their own output
-      // (run-length-style references with dist < len).
-      size_t src = out.size() - static_cast<size_t>(dist);
-      for (uint64_t i = 0; i < len; ++i) {
-        out.push_back(out[src + i]);
-      }
-    } else {
+  uint64_t produced = 0;
+  auto make_room = [&](uint64_t len) {
+    const uint64_t need = produced + len;
+    if (need > out.size()) {
+      out.resize(static_cast<size_t>(std::min<uint64_t>(
+          expected_size, std::max<uint64_t>(need, 2 * out.size()))));
+    }
+  };
+  while (p != end) {
+    const uint8_t tag = static_cast<uint8_t>(*p++);
+    if (tag != 0x00 && tag != 0x01) {
       return Status::Corruption("wlz: unknown token tag");
     }
+    uint64_t len = 0;
+    if (const char* error = DecodeVarint(&p, end, &len)) {
+      return Status::Corruption(error);
+    }
+    if (tag == 0x00) {
+      if (len > expected_size - produced) {
+        return Status::Corruption("wlz: output overflow");
+      }
+      if (len > static_cast<uint64_t>(end - p)) {
+        return Status::Corruption("wlz: truncated literal run");
+      }
+      make_room(len);
+      std::memcpy(out.data() + produced, p, static_cast<size_t>(len));
+      p += len;
+    } else {
+      uint64_t dist = 0;
+      if (const char* error = DecodeVarint(&p, end, &dist)) {
+        return Status::Corruption(error);
+      }
+      if (dist == 0 || dist > produced) {
+        return Status::Corruption("wlz: invalid match distance");
+      }
+      if (len > expected_size - produced) {
+        return Status::Corruption("wlz: output overflow");
+      }
+      make_room(len);
+      char* dst = out.data() + produced;
+      const char* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, static_cast<size_t>(len));
+      } else {
+        // The match overlaps its own output (a run-length-style reference,
+        // dist < len): each byte may be one this copy just wrote.
+        for (uint64_t i = 0; i < len; ++i) {
+          dst[i] = src[i];
+        }
+      }
+    }
+    produced += len;
   }
-  if (out.size() != expected_size) {
+  if (produced != expected_size) {
     return Status::Corruption("wlz: size mismatch");
   }
   if (Crc32::Of(out) != expected_crc) {

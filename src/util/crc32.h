@@ -6,7 +6,8 @@
 
 namespace dflow {
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/gzip variant), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, the zlib/gzip variant), table-driven
+/// (slicing-by-8: eight input bytes per step).
 /// Used for per-file integrity checks in the transport manifests: the paper
 /// lists "assessment and maintenance of data integrity" as a main issue of
 /// the Arecibo disk-shipment pipeline.

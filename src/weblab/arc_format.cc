@@ -55,7 +55,7 @@ Result<std::vector<WebPage>> ReadArcFile(std::string_view compressed) {
   }
   DFLOW_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
   std::vector<WebPage> pages;
-  pages.reserve(static_cast<size_t>(count));
+  pages.reserve(r.MaxItems(count));
   for (uint64_t i = 0; i < count; ++i) {
     WebPage page;
     DFLOW_ASSIGN_OR_RETURN(page.url, r.GetString());
@@ -82,7 +82,7 @@ Result<std::vector<PageMetadata>> ReadDatFile(std::string_view compressed) {
   }
   DFLOW_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
   std::vector<PageMetadata> records;
-  records.reserve(static_cast<size_t>(count));
+  records.reserve(r.MaxItems(count));
   for (uint64_t i = 0; i < count; ++i) {
     PageMetadata meta;
     DFLOW_ASSIGN_OR_RETURN(meta.url, r.GetString());

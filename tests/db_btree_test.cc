@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -171,6 +173,196 @@ TEST_P(BTreePropertyTest, MatchesReferenceMultimap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreePropertyTest, ::testing::Range(0, 8));
+
+// Differential test of the child descent: each insert order below is loaded
+// into a BTreeIndex and a std::multimap, and every Find and Scan must give
+// the multimap's entries in (key, RowId) order. RowIds follow insertion
+// order, so within one key the multimap's order is RowId order too.
+enum class Order { kAscending, kDescending, kBatchOf8, kRandom, kDuplicates };
+
+// 1,000 keys in the given order: distinct ascending or descending keys,
+// serve_cold's candidate load (40 keys of 25 rows, batches of 8 keys with
+// row i of every key in the batch before row i + 1 of any), uniform random
+// keys, or 5 keys repeated.
+std::vector<int64_t> KeysInOrder(Order order, uint64_t seed) {
+  constexpr int64_t kN = 1000;
+  std::vector<int64_t> keys;
+  Rng rng(seed);
+  switch (order) {
+    case Order::kAscending:
+      for (int64_t i = 0; i < kN; ++i) {
+        keys.push_back(i);
+      }
+      break;
+    case Order::kDescending:
+      for (int64_t i = kN - 1; i >= 0; --i) {
+        keys.push_back(i);
+      }
+      break;
+    case Order::kBatchOf8: {
+      constexpr int64_t kKeys = 40;
+      constexpr int64_t kRows = kN / kKeys;
+      for (int64_t first = 0; first < kKeys; first += 8) {
+        for (int64_t row = 0; row < kRows; ++row) {
+          for (int64_t k = first; k < std::min(kKeys, first + 8); ++k) {
+            keys.push_back(k);
+          }
+        }
+      }
+      break;
+    }
+    case Order::kRandom:
+      for (int64_t i = 0; i < kN; ++i) {
+        keys.push_back(rng.Uniform(0, kN / 2));
+      }
+      break;
+    case Order::kDuplicates:
+      for (int64_t i = 0; i < kN; ++i) {
+        keys.push_back(rng.Uniform(0, 4));
+      }
+      break;
+  }
+  return keys;
+}
+
+// String keys sort lexicographically, not numerically: "k10" < "k9".
+Value IntKey(int64_t k) { return Value::Int(k); }
+Value StringKey(int64_t k) {
+  std::string key = "k";
+  key += std::to_string(k);
+  return Value::String(std::move(key));
+}
+
+struct DiffCase {
+  size_t max_keys;
+  bool string_keys;
+  Order order;
+};
+
+std::string CaseName(const ::testing::TestParamInfo<DiffCase>& info) {
+  static const char* kOrders[] = {"Ascending", "Descending", "BatchOf8",
+                                  "Random", "Duplicates"};
+  return std::string(kOrders[static_cast<int>(info.param.order)]) +
+         (info.param.string_keys ? "String" : "Int") + "Max" +
+         std::to_string(info.param.max_keys);
+}
+
+class BTreeDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(BTreeDifferentialTest, FindAndScanMatchMultimap) {
+  const DiffCase& param = GetParam();
+  auto key_of = param.string_keys ? StringKey : IntKey;
+  const std::vector<int64_t> keys = KeysInOrder(
+      param.order, 0xb7ee0000ull + static_cast<uint64_t>(param.order));
+
+  BTreeIndex index(param.max_keys);
+  // Keys held as Values, ordered by Value::Compare as the tree orders them.
+  std::multimap<Value, RowId> model;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const RowId rid = Rid(static_cast<uint32_t>(i / 50),
+                          static_cast<uint16_t>(i % 50));
+    index.Insert(key_of(keys[i]), rid);
+    model.emplace(key_of(keys[i]), rid);
+  }
+  ASSERT_EQ(index.size(), static_cast<int64_t>(model.size()));
+  ASSERT_TRUE(index.CheckInvariants());
+  ASSERT_GT(index.height(), 1);
+
+  using Hit = std::pair<Value, RowId>;
+  auto scan = [&](const Value* lo, bool lo_inc, const Value* hi,
+                  bool hi_inc) {
+    std::vector<Hit> hits;
+    index.Scan(lo, lo_inc, hi, hi_inc, [&](const Value& key, RowId rid) {
+      hits.emplace_back(key, rid);
+      return true;
+    });
+    return hits;
+  };
+  // The model's answer: entries from the first not below lo to the last
+  // not above hi, none if the bounds leave no room.
+  auto want = [&](const Value* lo, bool lo_inc, const Value* hi,
+                  bool hi_inc) {
+    auto first = lo == nullptr ? model.begin()
+                 : lo_inc      ? model.lower_bound(*lo)
+                               : model.upper_bound(*lo);
+    auto last = hi == nullptr ? model.end()
+                : hi_inc      ? model.upper_bound(*hi)
+                              : model.lower_bound(*hi);
+    std::vector<Hit> hits;
+    if (lo != nullptr && hi != nullptr) {
+      const int c = lo->Compare(*hi);
+      if (c > 0 || (c == 0 && !(lo_inc && hi_inc))) {
+        return hits;
+      }
+    }
+    for (auto it = first; it != last; ++it) {
+      hits.emplace_back(it->first, it->second);
+    }
+    return hits;
+  };
+
+  // Every distinct key, and keys absent from the tree.
+  std::vector<Value> probes;
+  for (auto it = model.begin(); it != model.end();
+       it = model.upper_bound(it->first)) {
+    probes.push_back(it->first);
+  }
+  probes.push_back(key_of(-1));
+  probes.push_back(key_of(1 << 20));
+  if (param.string_keys) {
+    probes.push_back(Value::String("k1!"));  // Between "k1" and "k10".
+  }
+
+  for (const Value& key : probes) {
+    auto [first, last] = model.equal_range(key);
+    std::vector<RowId> rids;
+    for (auto it = first; it != last; ++it) {
+      rids.push_back(it->second);
+    }
+    ASSERT_EQ(index.Find(key), rids) << "key=" << key.ToString();
+  }
+
+  // Scan with each probe as a bound, inclusive and exclusive: alone, and
+  // paired with itself and with the next probe. Every separator is one of
+  // these keys, so every scan that starts or stops on a leaf boundary is
+  // among them.
+  for (size_t p = 0; p < probes.size(); ++p) {
+    const Value* key = &probes[p];
+    const Value* next = &probes[std::min(p + 1, probes.size() - 1)];
+    for (bool inc : {true, false}) {
+      ASSERT_EQ(scan(key, inc, nullptr, true), want(key, inc, nullptr, true))
+          << "lo=" << key->ToString() << " inclusive=" << inc;
+      ASSERT_EQ(scan(nullptr, true, key, inc), want(nullptr, true, key, inc))
+          << "hi=" << key->ToString() << " inclusive=" << inc;
+      for (bool hi_inc : {true, false}) {
+        for (const Value* hi : {key, next}) {
+          ASSERT_EQ(scan(key, inc, hi, hi_inc), want(key, inc, hi, hi_inc))
+              << "lo=" << key->ToString() << (inc ? "]" : ")")
+              << " hi=" << hi->ToString() << (hi_inc ? "]" : ")");
+        }
+      }
+    }
+  }
+  ASSERT_EQ(scan(nullptr, true, nullptr, true),
+            want(nullptr, true, nullptr, true));
+}
+
+std::vector<DiffCase> AllDiffCases() {
+  std::vector<DiffCase> cases;
+  for (size_t max_keys : {size_t{8}, size_t{64}}) {
+    for (bool string_keys : {false, true}) {
+      for (Order order : {Order::kAscending, Order::kDescending,
+                          Order::kBatchOf8, Order::kRandom,
+                          Order::kDuplicates}) {
+        cases.push_back({max_keys, string_keys, order});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, BTreeDifferentialTest,
+                         ::testing::ValuesIn(AllDiffCases()), CaseName);
 
 }  // namespace
 }  // namespace dflow::db

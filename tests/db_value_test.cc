@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "db/schema.h"
 
 namespace dflow::db {
@@ -38,6 +43,79 @@ TEST(ValueTest, TotalOrderAcrossTypes) {
   EXPECT_LT(Value::Null().Compare(Value::Bool(false)), 0);
   EXPECT_LT(Value::Bool(true).Compare(Value::Int(0)), 0);
   EXPECT_LT(Value::Int(999).Compare(Value::String("")), 0);
+}
+
+// Value::Compare as it was before same-type values got one dispatch: rank
+// first, then a per-type comparison. The reference model for the sweep
+// below.
+int ReferenceCompare(const Value& a, const Value& b) {
+  auto rank = [](Type t) {
+    switch (t) {
+      case Type::kNull:
+        return 0;
+      case Type::kBool:
+        return 1;
+      case Type::kInt64:
+      case Type::kDouble:
+        return 2;
+      case Type::kString:
+        return 3;
+    }
+    return 4;
+  };
+  const int ra = rank(a.type());
+  const int rb = rank(b.type());
+  if (ra != rb) {
+    return ra < rb ? -1 : 1;
+  }
+  switch (a.type()) {
+    case Type::kNull:
+      return 0;
+    case Type::kBool: {
+      const bool x = a.AsBool(), y = b.AsBool();
+      return x == y ? 0 : (x < y ? -1 : 1);
+    }
+    case Type::kInt64:
+    case Type::kDouble: {
+      if (a.type() == Type::kInt64 && b.type() == Type::kInt64) {
+        const int64_t x = a.AsInt(), y = b.AsInt();
+        return x == y ? 0 : (x < y ? -1 : 1);
+      }
+      const double x = a.AsDouble(), y = b.AsDouble();
+      return x == y ? 0 : (x < y ? -1 : 1);
+    }
+    case Type::kString:
+      return a.AsString().compare(b.AsString()) < 0
+                 ? -1
+                 : (a.AsString() == b.AsString() ? 0 : 1);
+  }
+  return 0;
+}
+
+TEST(ValueTest, CompareMatchesReferenceOnEveryPair) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  const std::vector<Value> values = {
+      Value::Null(),         Value::Bool(false),
+      Value::Bool(true),     Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(-1),        Value::Int(0),
+      Value::Int(1),         Value::Int(2),
+      Value::Int(big),       Value::Double(-inf),
+      Value::Double(-1.0),   Value::Double(-0.0),
+      Value::Double(0.0),    Value::Double(1.0),
+      Value::Double(1.5),    Value::Double(static_cast<double>(big)),
+      Value::Double(inf),    Value::Double(nan),
+      Value::String(""),     Value::String("a"),
+      Value::String("ab"),   Value::String("b"),
+      Value::String("k10"),  Value::String("k9"),
+      Value::String(std::string("a\0b", 3))};
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      EXPECT_EQ(a.Compare(b), ReferenceCompare(a, b))
+          << a.ToString() << " vs " << b.ToString();
+    }
+  }
 }
 
 TEST(ValueTest, SerializationRoundTrip) {
@@ -143,6 +221,22 @@ TEST(SchemaTest, RowSerializationRoundTrip) {
   EXPECT_EQ((*decoded)[0].AsInt(), 1);
   EXPECT_EQ((*decoded)[1].AsString(), "x");
   EXPECT_TRUE((*decoded)[2].is_null());
+}
+
+// Counts read from a record are untrusted: a forged count of 2^58 with
+// nothing after it must fail as Corruption, not reserve for 2^58 items.
+TEST(SchemaTest, ForgedRowValueCountIsCorruption) {
+  ByteWriter w;
+  w.PutVarint(uint64_t{1} << 58);
+  ByteReader r(w.data());
+  EXPECT_TRUE(DecodeRow(r).status().IsCorruption());
+}
+
+TEST(SchemaTest, ForgedSchemaColumnCountIsCorruption) {
+  ByteWriter w;
+  w.PutVarint(uint64_t{1} << 58);
+  ByteReader r(w.data());
+  EXPECT_TRUE(Schema::DecodeFrom(r).status().IsCorruption());
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
+#include "util/byte_buffer.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace dflow {
@@ -174,6 +178,260 @@ TEST(WlzTest, SingleByteCorruptionNeverSilentlyWrong) {
     if (out.ok()) {
       EXPECT_EQ(*out, input) << "silent corruption at byte " << pos;
     }
+  }
+}
+
+// --- One-pass decoder vs the token loop it replaced. ----------------------
+
+constexpr uint64_t kMaxMatch = 1 << 16;  // The longest match WlzCompress emits.
+
+// WlzDecompress as it was before the one-pass rewrite: a ByteReader token
+// loop that copies literals through a temporary string and matches byte by
+// byte with push_back. Its overflow check is written `len > expected_size -
+// out.size()` so a forged length near 2^64 cannot wrap past it. The
+// reference model for the differential tests.
+Result<std::string> ReferenceWlzDecompress(std::string_view compressed) {
+  ByteReader r(compressed);
+  DFLOW_ASSIGN_OR_RETURN(std::string magic, r.GetRaw(4));
+  if (magic != "WLZ1") {
+    return Status::Corruption("wlz: bad magic");
+  }
+  DFLOW_ASSIGN_OR_RETURN(uint64_t expected_size, r.GetVarint());
+  DFLOW_ASSIGN_OR_RETURN(uint32_t expected_crc, r.GetU32());
+  std::string out;
+  out.reserve(static_cast<size_t>(
+      std::min<uint64_t>(expected_size, uint64_t{1} << 20)));
+  while (!r.AtEnd()) {
+    DFLOW_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
+    if (tag == 0x00) {
+      DFLOW_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
+      if (len > expected_size - out.size()) {
+        return Status::Corruption("wlz: output overflow");
+      }
+      DFLOW_ASSIGN_OR_RETURN(std::string bytes,
+                             r.GetRaw(static_cast<size_t>(len)));
+      out += bytes;
+    } else if (tag == 0x01) {
+      DFLOW_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
+      DFLOW_ASSIGN_OR_RETURN(uint64_t dist, r.GetVarint());
+      if (dist == 0 || dist > out.size()) {
+        return Status::Corruption("wlz: invalid match distance");
+      }
+      if (len > expected_size - out.size()) {
+        return Status::Corruption("wlz: output overflow");
+      }
+      size_t src = out.size() - static_cast<size_t>(dist);
+      for (uint64_t i = 0; i < len; ++i) {
+        out.push_back(out[src + i]);
+      }
+    } else {
+      return Status::Corruption("wlz: unknown token tag");
+    }
+  }
+  if (out.size() != expected_size) {
+    return Status::Corruption("wlz: size mismatch");
+  }
+  if (Crc32::Of(out) != expected_crc) {
+    return Status::Corruption("wlz: checksum mismatch");
+  }
+  return out;
+}
+
+// Both decoders agree: both fail with Corruption, or both succeed with the
+// same bytes.
+void ExpectDecodersAgree(std::string_view stream, const std::string& what) {
+  auto got = WlzDecompress(stream);
+  auto want = ReferenceWlzDecompress(stream);
+  ASSERT_EQ(got.ok(), want.ok())
+      << what << ": new " << got.status().ToString() << ", reference "
+      << want.status().ToString();
+  if (got.ok()) {
+    ASSERT_EQ(*got, *want) << what;
+  } else {
+    ASSERT_TRUE(got.status().IsCorruption()) << what;
+    ASSERT_TRUE(want.status().IsCorruption()) << what;
+  }
+}
+
+// A wlz stream written token by token: a literal is tag 0x00, a varint
+// length and the bytes; a match is tag 0x01, a varint length and a varint
+// distance. The header carries `size` and `crc` as given.
+std::string WlzHeader(uint64_t size, uint32_t crc) {
+  ByteWriter w;
+  w.PutRaw("WLZ1", 4);
+  w.PutVarint(size);
+  w.PutU32(crc);
+  return w.Take();
+}
+
+// A literal "a" and then a match whose length, 2^64 - 1, makes `produced +
+// len` wrap to 0: an overflow check written that way lets it through.
+TEST(WlzTest, MatchLengthNearTwoToTheSixtyFourIsCorruption) {
+  ByteWriter w;
+  w.PutRaw(WlzHeader(10, 0));
+  w.PutU8(0x00);
+  w.PutVarint(1);
+  w.PutRaw("a");
+  w.PutU8(0x01);
+  w.PutVarint(std::numeric_limits<uint64_t>::max());
+  w.PutVarint(1);
+  ASSERT_EQ(w.size(), 24u);
+  EXPECT_TRUE(WlzDecompress(w.data()).status().IsCorruption());
+}
+
+TEST(WlzTest, LiteralLengthNearTwoToTheSixtyFourIsCorruption) {
+  ByteWriter w;
+  w.PutRaw(WlzHeader(10, 0));
+  w.PutU8(0x00);
+  w.PutVarint(1);
+  w.PutRaw("a");
+  w.PutU8(0x00);
+  w.PutVarint(std::numeric_limits<uint64_t>::max());
+  w.PutRaw("bcdefghij");
+  EXPECT_TRUE(WlzDecompress(w.data()).status().IsCorruption());
+}
+
+// Seeded token streams built directly, so every kind of match occurs:
+// overlapping ones (dist < len), dist 1 runs, and lengths up to kMaxMatch.
+// The header's size and CRC are those of the output the tokens describe.
+TEST(WlzDifferentialTest, RandomTokenStreamsMatchReference) {
+  Rng rng(0x3a7c0001ull);
+  for (int iter = 0; iter < 1000; ++iter) {
+    std::string expected;
+    ByteWriter tokens;
+    const int num_tokens = static_cast<int>(rng.Uniform(1, 40));
+    for (int t = 0; t < num_tokens; ++t) {
+      if (expected.empty() || rng.Bernoulli(0.35)) {
+        const size_t len = static_cast<size_t>(rng.Uniform(0, 300));
+        std::string bytes(len, '\0');
+        for (char& c : bytes) {
+          c = static_cast<char>(rng.Uniform(0, 255));
+        }
+        tokens.PutU8(0x00);
+        tokens.PutVarint(len);
+        tokens.PutRaw(bytes);
+        expected += bytes;
+        continue;
+      }
+      uint64_t dist = 0;
+      uint64_t len = 0;
+      switch (rng.Uniform(0, 3)) {
+        case 0:  // Run: dist 1, sometimes as long as a match gets.
+          dist = 1;
+          len = rng.Bernoulli(0.01)
+                    ? kMaxMatch
+                    : static_cast<uint64_t>(rng.Uniform(1, 600));
+          break;
+        case 1:  // Overlapping: dist < len.
+          dist = static_cast<uint64_t>(rng.Uniform(
+              1, std::min<int64_t>(16, static_cast<int64_t>(expected.size()))));
+          len = dist + static_cast<uint64_t>(rng.Uniform(1, 200));
+          break;
+        default:  // Anywhere back in the output, overlapping or not.
+          dist = static_cast<uint64_t>(
+              rng.Uniform(1, static_cast<int64_t>(expected.size())));
+          len = static_cast<uint64_t>(rng.Uniform(4, 400));
+          break;
+      }
+      tokens.PutU8(0x01);
+      tokens.PutVarint(len);
+      tokens.PutVarint(dist);
+      const size_t src = expected.size() - dist;
+      for (uint64_t i = 0; i < len; ++i) {
+        expected.push_back(expected[src + i]);
+      }
+    }
+    const std::string stream =
+        WlzHeader(expected.size(), Crc32::Of(expected)) + tokens.data();
+    auto got = WlzDecompress(stream);
+    ASSERT_TRUE(got.ok()) << "iter=" << iter << ": "
+                          << got.status().ToString();
+    ASSERT_EQ(*got, expected) << "iter=" << iter;
+    ExpectDecodersAgree(stream, "iter=" + std::to_string(iter));
+  }
+}
+
+// A 64 KB stream from the compressor, cut at every byte and damaged one
+// byte at a time: the decoders fail together or agree on the bytes.
+std::string SixtyFourKilobyteInput() {
+  Rng rng(0x3a7c0002ull);
+  static const char* kWords[] = {"pulsar ", "beam ", "dm=112.5 ", "tape ",
+                                 "archive ", "crawl ", "event "};
+  std::string input;
+  while (input.size() < 64 * 1024) {
+    if (rng.Bernoulli(0.05)) {
+      input.append(static_cast<size_t>(rng.Uniform(1, 300)), 'z');
+    } else if (rng.Bernoulli(0.1)) {
+      input.push_back(static_cast<char>(rng.Uniform(0, 255)));
+    } else {
+      input += kWords[rng.Uniform(0, 6)];
+    }
+  }
+  input.resize(64 * 1024);
+  return input;
+}
+
+TEST(WlzDifferentialTest, TruncationAtEveryByteMatchesReference) {
+  const std::string stream = WlzCompress(SixtyFourKilobyteInput());
+  for (size_t len = 0; len < stream.size(); ++len) {
+    const std::string_view cut(stream.data(), len);
+    auto got = WlzDecompress(cut);
+    ASSERT_FALSE(got.ok()) << "len=" << len;
+    ASSERT_TRUE(got.status().IsCorruption()) << "len=" << len;
+    ASSERT_FALSE(ReferenceWlzDecompress(cut).ok()) << "len=" << len;
+  }
+}
+
+TEST(WlzDifferentialTest, SingleByteMutationsMatchReference) {
+  const std::string input = SixtyFourKilobyteInput();
+  const std::string stream = WlzCompress(input);
+  Rng rng(0x3a7c0003ull);
+  int rejected = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    std::string damaged = stream;
+    const size_t pos = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(damaged.size()) - 1));
+    damaged[pos] = static_cast<char>(
+        static_cast<uint8_t>(damaged[pos]) ^ rng.Uniform(1, 255));
+    ExpectDecodersAgree(damaged, "iter=" + std::to_string(iter) +
+                                     " pos=" + std::to_string(pos));
+    auto got = WlzDecompress(damaged);
+    if (got.ok()) {
+      ASSERT_EQ(*got, input) << "silent corruption at byte " << pos;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 900);
+}
+
+// Compressor round trips over inputs that make it emit long runs and
+// overlapping matches, decoded by both decoders.
+TEST(WlzDifferentialTest, CompressorRoundTripsMatchReference) {
+  Rng rng(0x3a7c0004ull);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::string input;
+    const size_t size = static_cast<size_t>(rng.Uniform(0, 8192));
+    while (input.size() < size) {
+      if (rng.Bernoulli(0.3)) {
+        input.append(static_cast<size_t>(rng.Uniform(1, 500)),
+                     static_cast<char>(rng.Uniform(0, 3)));
+      } else if (rng.Bernoulli(0.5) && !input.empty()) {
+        const size_t from = static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(input.size()) - 1));
+        input += input.substr(from, static_cast<size_t>(rng.Uniform(1, 100)));
+      } else {
+        input.push_back(static_cast<char>(rng.Uniform(0, 255)));
+      }
+    }
+    if (iter % 50 == 0) {
+      input.append(kMaxMatch + 10, 'r');  // A run past the longest match.
+    }
+    const std::string stream = WlzCompress(input);
+    auto got = WlzDecompress(stream);
+    ASSERT_TRUE(got.ok()) << "iter=" << iter;
+    ASSERT_EQ(*got, input) << "iter=" << iter;
+    ExpectDecodersAgree(stream, "iter=" + std::to_string(iter));
   }
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <string>
 
 #include "util/crc32.h"
 #include "util/md5.h"
+#include "util/rng.h"
 
 namespace dflow {
 namespace {
@@ -105,6 +109,88 @@ TEST(Crc32Test, IncrementalArbitrarySplitsMatchOneShot) {
       EXPECT_EQ(crc.Value(), expected)
           << "splits at " << split1 << "," << split2;
     }
+  }
+}
+
+// The bytewise table-driven CRC-32 that Crc32::Update used before it became
+// slicing-by-8: one table lookup per input byte. The reference model for the
+// differential tests below.
+uint32_t BytewiseCrc32Update(uint32_t crc, const uint8_t* p, size_t len) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+uint32_t BytewiseCrc32(const std::string& s, size_t offset, size_t len) {
+  return BytewiseCrc32Update(
+             0xffffffffu,
+             reinterpret_cast<const uint8_t*>(s.data()) + offset, len) ^
+         0xffffffffu;
+}
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) {
+    c = static_cast<char>(rng.Uniform(0, 255));
+  }
+  return s;
+}
+
+// Every length up to past a kilobyte, at every start offset mod 8: the
+// eight-byte steps and the bytewise tail meet at every alignment.
+TEST(Crc32DifferentialTest, EveryLengthAtEveryOffsetMatchesBytewise) {
+  Rng rng(0xc5c32001ull);
+  const std::string buf = RandomBytes(rng, 1100 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(Crc32::Of(buf.data() + offset, len),
+                BytewiseCrc32(buf, offset, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32DifferentialTest, RandomBuffersMatchBytewise) {
+  Rng rng(0xc5c32002ull);
+  for (int iter = 0; iter < 1000; ++iter) {
+    const std::string buf =
+        RandomBytes(rng, static_cast<size_t>(rng.Uniform(0, 64 * 1024)));
+    ASSERT_EQ(Crc32::Of(buf), BytewiseCrc32(buf, 0, buf.size()))
+        << "iter=" << iter << " size=" << buf.size();
+  }
+}
+
+// Update in random pieces, most of them shorter than one eight-byte step,
+// must give the one-shot value: the register carries across calls at any
+// alignment.
+TEST(Crc32DifferentialTest, RandomUpdateSplitsMatchBytewise) {
+  Rng rng(0xc5c32003ull);
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::string buf =
+        RandomBytes(rng, static_cast<size_t>(rng.Uniform(0, 4096)));
+    Crc32 crc;
+    for (size_t pos = 0; pos < buf.size();) {
+      const size_t max_chunk = rng.Bernoulli(0.8) ? 7 : 200;
+      const size_t chunk = std::min(
+          buf.size() - pos,
+          static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(max_chunk))));
+      crc.Update(buf.data() + pos, chunk);
+      pos += chunk;
+    }
+    ASSERT_EQ(crc.Value(), BytewiseCrc32(buf, 0, buf.size()))
+        << "iter=" << iter << " size=" << buf.size();
   }
 }
 

@@ -6,6 +6,8 @@
 #include <limits>
 #include <string_view>
 
+#include "util/byte_buffer.h"
+#include "util/compress.h"
 #include "util/rng.h"
 #include "weblab/crawler.h"
 
@@ -81,6 +83,25 @@ TEST(ArcFormatTest, CorruptBlobRejected) {
   blob[blob.size() / 2] ^= 0x5a;
   EXPECT_FALSE(ReadArcFile(blob).ok());
   EXPECT_FALSE(ReadArcFile("garbage").ok());
+}
+
+// A CRC-valid blob whose record count is 2^58 and which holds no record:
+// the count is untrusted, so the decoder must not reserve for it.
+std::string ForgedCountBlob(const char* magic) {
+  ByteWriter w;
+  w.PutRaw(magic, 4);
+  w.PutVarint(uint64_t{1} << 58);
+  return WlzCompress(w.data());
+}
+
+TEST(ArcFormatTest, ForgedArcRecordCountIsCorruption) {
+  const std::string blob = ForgedCountBlob("ARC2");
+  EXPECT_EQ(blob.size(), 22u);
+  EXPECT_TRUE(ReadArcFile(blob).status().IsCorruption());
+}
+
+TEST(ArcFormatTest, ForgedDatRecordCountIsCorruption) {
+  EXPECT_TRUE(ReadDatFile(ForgedCountBlob("DAT2")).status().IsCorruption());
 }
 
 TEST(ArcFormatTest, EmptyFileRoundTrip) {
