@@ -10,7 +10,9 @@
 //
 // `--micro` mode: the original google-benchmark microbenchmarks (insert
 // paths, B+Tree inserts, indexed vs sequential selection, aggregation, WAL
-// overhead); extra args pass through to the benchmark runner.
+// overhead) and the two serving backends a serve_cold request pays most
+// for (a VOTable body and an EventStore snapshot resolution); extra args
+// pass through to the benchmark runner.
 
 #include <benchmark/benchmark.h>
 
@@ -22,9 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "arecibo/votable.h"
 #include "bench/report.h"
 #include "db/btree.h"
 #include "db/database.h"
+#include "eventstore/event_store.h"
 #include "util/md5.h"
 #include "util/rng.h"
 
@@ -209,6 +213,54 @@ void BM_WalDurableInsert(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_WalDurableInsert);
+
+// One pointing's VOTable as serve_cold serves it: 125 seeded candidates,
+// of which 87 are not RFI, written at precision 12.
+void BM_CandidatesToVoTable(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<arecibo::Candidate> candidates;
+  for (int i = 0; i < 87; ++i) {
+    arecibo::Candidate candidate;
+    candidate.pointing = 217;
+    candidate.beam = static_cast<int>(rng.Uniform(0, 6));
+    candidate.freq_hz = rng.UniformReal(1.0, 700.0);
+    candidate.period_sec = 1.0 / candidate.freq_hz;
+    candidate.dm = rng.UniformReal(10.0, 300.0);
+    candidate.snr = rng.UniformReal(8.0, 40.0);
+    candidates.push_back(candidate);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        arecibo::CandidatesToVoTable(candidates, "PALFA"));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(candidates.size()));
+}
+BENCHMARK(BM_CandidatesToVoTable);
+
+// serve_cold's EventStore: {raw, recon} of 600 runs and a physics grade
+// assigned at 50 timestamps; every resolution returns the 600 recon files.
+void BM_EventStoreResolve(benchmark::State& state) {
+  auto store =
+      eventstore::EventStore::Create(eventstore::StoreScale::kCollaboration);
+  for (int64_t run = 1; run <= 600; ++run) {
+    for (const char* data_type : {"raw", "recon"}) {
+      (void)(*store)->RegisterFile(
+          {run, data_type, "R1", 1000 + 10 * run, 100000 + 1000 * run,
+           "/hsm/" + std::string(data_type) + "/" + std::to_string(run),
+           {}});
+    }
+  }
+  for (int64_t k = 1; k <= 50; ++k) {
+    (void)(*store)->AssignGrade("physics", 100 * k,
+                                {1, std::min<int64_t>(600, 10 * k)}, "recon",
+                                "R1");
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((*store)->Resolve("physics", 2525));
+  }
+}
+BENCHMARK(BM_EventStoreResolve)->Unit(benchmark::kMicrosecond);
 
 // --- Buffer-pool sweep (default mode) -----------------------------------
 

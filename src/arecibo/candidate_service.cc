@@ -1,8 +1,7 @@
 #include "arecibo/candidate_service.h"
 
-#include <sstream>
-
 #include "arecibo/votable.h"
+#include "util/strings.h"
 
 namespace dflow::arecibo {
 
@@ -74,27 +73,33 @@ Result<core::ServiceResponse> CandidateService::Handle(
     DFLOW_ASSIGN_OR_RETURN(
         std::vector<Candidate> candidates,
         QueryCandidates(include_rfi ? "" : "rfi = FALSE", limit));
-    std::ostringstream os;
-    os << "pointing\tbeam\tfreq_hz\tdm\tsnr\trfi\n";
+    std::string& body = response.body;
+    body.reserve(64 + candidates.size() * 48);
+    body += "pointing\tbeam\tfreq_hz\tdm\tsnr\trfi\n";
     for (const Candidate& candidate : candidates) {
-      os << candidate.pointing << "\t" << candidate.beam << "\t"
-         << candidate.freq_hz << "\t" << candidate.dm << "\t"
-         << candidate.snr << "\t" << (candidate.rfi_flag ? 1 : 0) << "\n";
+      AppendInt(&body, candidate.pointing);
+      body += '\t';
+      AppendInt(&body, candidate.beam);
+      body += '\t';
+      AppendDouble(&body, candidate.freq_hz, 6);
+      body += '\t';
+      AppendDouble(&body, candidate.dm, 6);
+      body += '\t';
+      AppendDouble(&body, candidate.snr, 6);
+      body += candidate.rfi_flag ? "\t1\n" : "\t0\n";
     }
     response.content_type = "text/tab-separated-values";
-    response.body = os.str();
     return response;
   }
   if (request.path == "count") {
     DFLOW_ASSIGN_OR_RETURN(
         db::QueryResult result,
         db_->Execute("SELECT rfi, COUNT(*) FROM candidates GROUP BY rfi"));
-    std::ostringstream os;
     for (const db::Row& row : result.rows) {
-      os << (row[0].AsBool() ? "rfi" : "astrophysical") << "\t"
-         << row[1].AsInt() << "\n";
+      response.body += row[0].AsBool() ? "rfi\t" : "astrophysical\t";
+      AppendInt(&response.body, row[1].AsInt());
+      response.body += '\n';
     }
-    response.body = os.str();
     return response;
   }
   if (request.path == "votable") {
@@ -117,11 +122,11 @@ Result<core::ServiceResponse> CandidateService::Handle(
         db::QueryResult result,
         db_->Execute("SELECT DISTINCT pointing FROM candidates ORDER BY "
                      "pointing"));
-    std::ostringstream os;
+    response.body.reserve(result.rows.size() * 4);
     for (const db::Row& row : result.rows) {
-      os << row[0].AsInt() << "\n";
+      AppendInt(&response.body, row[0].AsInt());
+      response.body += '\n';
     }
-    response.body = os.str();
     return response;
   }
   return Status::NotFound("no endpoint '" + request.path + "'");

@@ -140,9 +140,16 @@ Result<Row> DecodeRow(ByteReader& r) {
   DFLOW_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
   Row row;
   row.reserve(r.MaxItems(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    DFLOW_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(r));
-    row.push_back(std::move(v));
+  // One pointer pass over the values: each decodes in place into the row's
+  // next slot, with no Result built per field.
+  const char* p = r.cursor();
+  const char* error = nullptr;
+  for (uint64_t i = 0; i < n && error == nullptr; ++i) {
+    error = Value::Decode(&p, r.end(), &row.emplace_back());
+  }
+  r.SkipTo(p);
+  if (error != nullptr) {
+    return Status::Corruption(error);
   }
   return row;
 }

@@ -1,6 +1,7 @@
 #include "db/value.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "util/logging.h"
@@ -134,29 +135,69 @@ void Value::EncodeTo(ByteWriter& w) const {
   }
 }
 
-Result<Value> Value::DecodeFrom(ByteReader& r) {
-  DFLOW_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
+const char* Value::Decode(const char** p, const char* end, Value* out) {
+  if (*p == end) {
+    return "byte reader underflow";
+  }
+  const uint8_t tag = static_cast<uint8_t>(*(*p)++);
   switch (static_cast<Type>(tag)) {
     case Type::kNull:
-      return Value::Null();
-    case Type::kBool: {
-      DFLOW_ASSIGN_OR_RETURN(uint8_t v, r.GetU8());
-      return Value::Bool(v != 0);
-    }
+      out->data_.emplace<std::monostate>();
+      return nullptr;
+    case Type::kBool:
+      if (*p == end) {
+        return "byte reader underflow";
+      }
+      out->data_.emplace<bool>(*(*p)++ != 0);
+      return nullptr;
     case Type::kInt64: {
-      DFLOW_ASSIGN_OR_RETURN(int64_t v, r.GetVarintSigned());
-      return Value::Int(v);
+      uint64_t z = 0;
+      if (const char* error = DecodeVarint(p, end, &z)) {
+        return error;
+      }
+      out->data_.emplace<int64_t>(ZigZagDecode(z));
+      return nullptr;
     }
     case Type::kDouble: {
-      DFLOW_ASSIGN_OR_RETURN(double v, r.GetDouble());
-      return Value::Double(v);
+      if (end - *p < 8) {
+        return "byte reader underflow";
+      }
+      uint64_t bits = 0;
+      for (int i = 0; i < 8; ++i) {
+        bits |= static_cast<uint64_t>(static_cast<uint8_t>((*p)[i]))
+                << (8 * i);
+      }
+      *p += 8;
+      double v;
+      std::memcpy(&v, &bits, sizeof(v));
+      out->data_.emplace<double>(v);
+      return nullptr;
     }
     case Type::kString: {
-      DFLOW_ASSIGN_OR_RETURN(std::string v, r.GetString());
-      return Value::String(std::move(v));
+      uint64_t len = 0;
+      if (const char* error = DecodeVarint(p, end, &len)) {
+        return error;
+      }
+      if (static_cast<uint64_t>(end - *p) < len) {
+        return "byte reader underflow reading raw bytes";
+      }
+      out->data_.emplace<std::string>(*p, static_cast<size_t>(len));
+      *p += len;
+      return nullptr;
     }
   }
-  return Status::Corruption("unknown value type tag");
+  return "unknown value type tag";
+}
+
+Result<Value> Value::DecodeFrom(ByteReader& r) {
+  const char* p = r.cursor();
+  Value v;
+  const char* error = Decode(&p, r.end(), &v);
+  r.SkipTo(p);
+  if (error != nullptr) {
+    return Status::Corruption(error);
+  }
+  return v;
 }
 
 std::string Value::ToString() const {

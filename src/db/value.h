@@ -59,6 +59,12 @@ class Value {
   void EncodeTo(ByteWriter& w) const;
   static Result<Value> DecodeFrom(ByteReader& r);
 
+  /// Decodes the value encoded at `*p` into `*out`, reading no byte at or
+  /// past `end`, and advances `*p` past it. Returns nullptr, or why the
+  /// bytes are not a value: truncated, a bad varint, or an unknown type
+  /// tag. The one value decoder: DecodeFrom and DecodeRow both call it.
+  static const char* Decode(const char** p, const char* end, Value* out);
+
   std::string ToString() const;
 
   /// Stable 64-bit hash (for group-by keys).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "util/byte_buffer.h"
 #include "util/logging.h"
@@ -119,6 +120,7 @@ Result<std::vector<FileEntry>> EventStore::AllFiles() const {
   auto table = db_->catalog().Get("files");
   DFLOW_RETURN_IF_ERROR(table.status());
   std::vector<FileEntry> out;
+  out.reserve(static_cast<size_t>((*table)->heap->num_rows()));
   Status scan = Status::OK();
   DFLOW_RETURN_IF_ERROR(
       (*table)->heap->ForEach([&](db::RowId, const db::Row& row) {
@@ -241,54 +243,69 @@ std::vector<std::string> EventStore::GradeNames() const {
 Result<std::vector<FileEntry>> EventStore::Resolve(const std::string& grade,
                                                    int64_t analysis_ts) const {
   DFLOW_ASSIGN_OR_RETURN(std::vector<GradeRow> rows, GradeRows(grade));
+  // Decodes every file and verifies its provenance hash, whether or not
+  // the snapshot selects it.
   DFLOW_ASSIGN_OR_RETURN(std::vector<FileEntry> files, AllFiles());
 
-  // Count versions per (run, data_type) for the first-time-data rule, and
-  // note which data types the grade covers at all (the exception admits
-  // *new* data of a kind the grade already organizes, not unrelated
-  // data types).
-  std::map<std::pair<int64_t, std::string>, int> version_counts;
-  for (const FileEntry& file : files) {
-    ++version_counts[{file.run, file.data_type}];
-  }
-  std::set<std::string> grade_data_types;
+  // The data types the grade covers at all: the first-time-data exception
+  // admits *new* data of a kind the grade already organizes, not unrelated
+  // data types, and no row can cover any other type.
+  std::set<std::string_view> grade_data_types;
   for (const GradeRow& row : rows) {
     grade_data_types.insert(row.data_type);
   }
-
-  std::vector<FileEntry> out;
-  for (const FileEntry& file : files) {
-    // Most recent snapshot at or before analysis_ts covering this
-    // (run, data_type).
-    const GradeRow* best = nullptr;
-    for (const GradeRow& row : rows) {
-      if (row.ts > analysis_ts || row.data_type != file.data_type ||
-          !row.range.Contains(file.run)) {
-        continue;
-      }
-      if (best == nullptr || row.ts > best->ts) {
-        best = &row;
-      }
+  // The snapshots at or before analysis_ts, newest first; equal timestamps
+  // keep index order, so the first row covering a file is the most recent
+  // snapshot covering it, the earliest-listed on a tie.
+  std::vector<const GradeRow*> snapshots;
+  for (const GradeRow& row : rows) {
+    if (row.ts <= analysis_ts) {
+      snapshots.push_back(&row);
     }
-    if (best != nullptr) {
-      if (best->version == file.version) {
-        out.push_back(file);
+  }
+  std::stable_sort(snapshots.begin(), snapshots.end(),
+                   [](const GradeRow* a, const GradeRow* b) {
+                     return a->ts > b->ts;
+                   });
+  // Versions per (run, data_type), for the first-time-data rule.
+  std::map<std::pair<int64_t, std::string_view>, int> version_counts;
+  for (const FileEntry& file : files) {
+    ++version_counts[{file.run, file.data_type}];
+  }
+
+  std::vector<size_t> chosen;
+  for (size_t i = 0; i < files.size(); ++i) {
+    const FileEntry& file = files[i];
+    if (grade_data_types.count(file.data_type) == 0) {
+      continue;
+    }
+    auto covering = std::find_if(
+        snapshots.begin(), snapshots.end(), [&file](const GradeRow* row) {
+          return row->data_type == file.data_type &&
+                 row->range.Contains(file.run);
+        });
+    if (covering != snapshots.end()) {
+      if ((*covering)->version == file.version) {
+        chosen.push_back(i);
       }
       continue;
     }
-    // First-time-data exception: exactly one version ever registered, of
-    // a data type this grade covers.
-    if (version_counts[{file.run, file.data_type}] == 1 &&
-        grade_data_types.count(file.data_type) > 0) {
-      out.push_back(file);
+    // First-time-data exception: exactly one version ever registered.
+    if (version_counts[{file.run, file.data_type}] == 1) {
+      chosen.push_back(i);
     }
   }
-  std::sort(out.begin(), out.end(), [](const FileEntry& a, const FileEntry& b) {
-    if (a.run != b.run) {
-      return a.run < b.run;
+  std::sort(chosen.begin(), chosen.end(), [&files](size_t a, size_t b) {
+    if (files[a].run != files[b].run) {
+      return files[a].run < files[b].run;
     }
-    return a.data_type < b.data_type;
+    return files[a].data_type < files[b].data_type;
   });
+  std::vector<FileEntry> out;
+  out.reserve(chosen.size());
+  for (size_t i : chosen) {
+    out.push_back(std::move(files[i]));
+  }
   return out;
 }
 

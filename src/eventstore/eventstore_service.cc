@@ -1,8 +1,7 @@
 #include "eventstore/eventstore_service.h"
 
-#include <sstream>
-
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace dflow::eventstore {
 
@@ -29,23 +28,31 @@ Result<core::ServiceResponse> EventStoreService::Handle(
       // it for a long time.
       response.cache_max_age_sec = 86400.0;
     }
-    std::ostringstream os;
-    os << "run\tdata_type\tversion\tbytes\tlocation\tprov_hash\n";
+    std::string& body = response.body;
+    body.reserve(64 + files.size() * 96);
+    body += "run\tdata_type\tversion\tbytes\tlocation\tprov_hash\n";
     for (const FileEntry& file : files) {
-      os << file.run << "\t" << file.data_type << "\t" << file.version
-         << "\t" << file.bytes << "\t" << file.location << "\t"
-         << file.provenance.SummaryHash() << "\n";
+      AppendInt(&body, file.run);
+      body += '\t';
+      body += file.data_type;
+      body += '\t';
+      body += file.version;
+      body += '\t';
+      AppendInt(&body, file.bytes);
+      body += '\t';
+      body += file.location;
+      body += '\t';
+      body += file.provenance.SummaryHash();
+      body += '\n';
     }
-    response.body = os.str();
     return response;
   }
   if (request.path == "grades") {
-    std::ostringstream os;
     for (const std::string& grade : store_->GradeNames()) {
-      os << grade << "\n";
+      response.body += grade;
+      response.body += '\n';
     }
     response.content_type = "text/plain";
-    response.body = os.str();
     return response;
   }
   if (request.path == "history") {
@@ -54,14 +61,21 @@ Result<core::ServiceResponse> EventStoreService::Handle(
       return Status::InvalidArgument("history requires ?grade=");
     }
     DFLOW_ASSIGN_OR_RETURN(auto history, store_->GradeHistory(grade));
-    std::ostringstream os;
-    os << "timestamp\trun_first\trun_last\tdata_type\tversion\n";
+    std::string& body = response.body;
+    body.reserve(64 + history.size() * 48);
+    body += "timestamp\trun_first\trun_last\tdata_type\tversion\n";
     for (const auto& assignment : history) {
-      os << assignment.timestamp << "\t" << assignment.range.first << "\t"
-         << assignment.range.last << "\t" << assignment.data_type << "\t"
-         << assignment.version << "\n";
+      AppendInt(&body, assignment.timestamp);
+      body += '\t';
+      AppendInt(&body, assignment.range.first);
+      body += '\t';
+      AppendInt(&body, assignment.range.last);
+      body += '\t';
+      body += assignment.data_type;
+      body += '\t';
+      body += assignment.version;
+      body += '\n';
     }
-    response.body = os.str();
     return response;
   }
   if (request.path == "versions") {
@@ -70,12 +84,11 @@ Result<core::ServiceResponse> EventStoreService::Handle(
     if (run < 0 || data_type.empty()) {
       return Status::InvalidArgument("versions requires ?run= and ?data_type=");
     }
-    std::ostringstream os;
     for (const std::string& version : store_->Versions(run, data_type)) {
-      os << version << "\n";
+      response.body += version;
+      response.body += '\n';
     }
     response.content_type = "text/plain";
-    response.body = os.str();
     return response;
   }
   if (request.path == "summary") {
@@ -86,13 +99,16 @@ Result<core::ServiceResponse> EventStoreService::Handle(
             "files GROUP BY data_type ORDER BY bytes DESC"));
     // The summary churns as runs register; let the cache keep it briefly.
     response.cache_max_age_sec = 30.0;
-    std::ostringstream os;
-    os << "data_type\tfiles\tbytes\n";
+    std::string& body = response.body;
+    body += "data_type\tfiles\tbytes\n";
     for (const db::Row& row : result.rows) {
-      os << row[0].AsString() << "\t" << row[1].AsInt() << "\t"
-         << row[2].AsInt() << "\n";
+      body += row[0].AsString();
+      body += '\t';
+      AppendInt(&body, row[1].AsInt());
+      body += '\t';
+      AppendInt(&body, row[2].AsInt());
+      body += '\n';
     }
-    response.body = os.str();
     return response;
   }
   return Status::NotFound("no endpoint '" + request.path + "'");

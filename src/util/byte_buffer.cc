@@ -50,10 +50,10 @@ Result<double> ByteReader::GetDouble() {
 }
 
 Result<uint64_t> ByteReader::GetVarint() {
-  const char* p = data_.data() + pos_;
+  const char* p = cursor();
   uint64_t v = 0;
-  const char* error = DecodeVarint(&p, data_.data() + data_.size(), &v);
-  pos_ = static_cast<size_t>(p - data_.data());
+  const char* error = DecodeVarint(&p, end(), &v);
+  SkipTo(p);
   if (error != nullptr) {
     return Status::Corruption(error);
   }

@@ -96,6 +96,11 @@ inline const char* DecodeVarint(const char** p, const char* end,
   }
 }
 
+/// Inverts ByteWriter::PutVarintSigned's ZigZag mapping.
+inline int64_t ZigZagDecode(uint64_t z) {
+  return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+}
+
 /// Bounds-checked reader over a byte string produced by ByteWriter.
 /// All getters return Status/Result rather than asserting, because readers
 /// parse data that may be corrupted (the fault-injection tests rely on
@@ -113,7 +118,7 @@ class ByteReader {
   Result<uint64_t> GetVarint();
   Result<int64_t> GetVarintSigned() {
     DFLOW_ASSIGN_OR_RETURN(uint64_t z, GetVarint());
-    return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+    return ZigZagDecode(z);
   }
   Result<std::string> GetString();
   /// Reads exactly `len` raw bytes.
@@ -128,6 +133,13 @@ class ByteReader {
   }
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t position() const { return pos_; }
+
+  /// The unread bytes as [cursor(), end()), for a decoder that walks them
+  /// with a pointer (DecodeVarint's shape) and then hands back how far it
+  /// read through SkipTo().
+  const char* cursor() const { return data_.data() + pos_; }
+  const char* end() const { return data_.data() + data_.size(); }
+  void SkipTo(const char* p) { pos_ = static_cast<size_t>(p - data_.data()); }
 
  private:
   template <typename T>

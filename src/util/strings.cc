@@ -1,7 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+
+#include "util/logging.h"
 
 namespace dflow {
 
@@ -118,6 +121,21 @@ std::string JsonQuote(std::string_view s) {
   }
   out.push_back('"');
   return out;
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[20];  // "-9223372036854775808".
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendDouble(std::string* out, double v, int precision) {
+  // "%.*g" writes a sign, at most `precision` digits, a point and either a
+  // five-character exponent or "0." and four zeros: precision + 8 bytes.
+  DFLOW_CHECK(precision <= 40) << "precision " << precision;
+  char buf[48];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, precision)
+                       .ptr);
 }
 
 }  // namespace dflow

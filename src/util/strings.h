@@ -1,6 +1,7 @@
 #ifndef DFLOW_UTIL_STRINGS_H_
 #define DFLOW_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,14 @@ bool IsAlnum(char c);
 /// other byte below 0x20 written as \u00XX, all other bytes (UTF-8
 /// included) passed through unchanged.
 std::string JsonQuote(std::string_view s);
+
+/// Appends `v` in decimal, byte for byte as `std::ostream << v` writes it.
+void AppendInt(std::string* out, int64_t v);
+
+/// Appends `v` byte for byte as a `std::ostream` in its default float
+/// format at `precision` (at most 40) writes it: printf's "%.*g", with
+/// "inf", "-inf", "nan" and "-nan" for the values that are not finite.
+void AppendDouble(std::string* out, double v, int precision);
 
 }  // namespace dflow
 

@@ -3,16 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <variant>
+
+#include "db/executor.h"
+#include "db/parser.h"
 
 namespace dflow::weblab {
 
 Result<int64_t> ExtractSubset(db::Database* db, const std::string& view_name,
                               const std::string& select_sql) {
-  DFLOW_ASSIGN_OR_RETURN(db::QueryResult result, db->Execute(select_sql));
-  if (result.columns.empty()) {
+  // Only a SELECT runs: the statement comes from a served request, and
+  // anything else would change the database before it could be refused.
+  DFLOW_ASSIGN_OR_RETURN(db::Statement stmt, db::ParseSql(select_sql));
+  const auto* select = std::get_if<db::SelectStmt>(&stmt);
+  if (select == nullptr) {
     return Status::InvalidArgument(
         "subset extraction needs a SELECT statement");
   }
+  DFLOW_ASSIGN_OR_RETURN(db::QueryResult result,
+                         db::ExecuteSelect(db->catalog(), *select));
   // Infer each column's type from the first non-NULL value it takes.
   std::vector<db::Column> columns;
   for (size_t i = 0; i < result.columns.size(); ++i) {

@@ -16,7 +16,8 @@ namespace dflow::weblab {
 /// new table `view_name` in `db` (a CREATE TABLE AS in spirit: researchers
 /// then query or download the subset without touching the full archive).
 /// Column types are inferred from the result values; untyped (all-NULL)
-/// columns default to STRING.
+/// columns default to STRING. Any statement but a SELECT is refused with
+/// InvalidArgument before it runs.
 Result<int64_t> ExtractSubset(db::Database* db, const std::string& view_name,
                               const std::string& select_sql);
 

@@ -1,7 +1,5 @@
 #include "weblab/weblab_service.h"
 
-#include <sstream>
-
 #include "util/logging.h"
 #include "util/strings.h"
 #include "weblab/subsets.h"
@@ -34,11 +32,11 @@ Result<core::ServiceResponse> WebLabService::Handle(
       response.content_type = "text/html";
       response.body = page.content;
     } else {
-      std::ostringstream os;
+      response.body.reserve(page.links.size() * 48);
       for (const std::string& link : page.links) {
-        os << link << "\n";
+        response.body += link;
+        response.body += '\n';
       }
-      response.body = os.str();
     }
     return response;
   }
@@ -51,11 +49,12 @@ Result<core::ServiceResponse> WebLabService::Handle(
       return Status::InvalidArgument("search requires ?q=");
     }
     std::vector<std::string> terms = Tokenize(query);
-    std::ostringstream os;
-    for (const std::string& url : index_->LookupAll(terms)) {
-      os << url << "\n";
+    std::vector<std::string> urls = index_->LookupAll(terms);
+    response.body.reserve(urls.size() * 48);
+    for (const std::string& url : urls) {
+      response.body += url;
+      response.body += '\n';
     }
-    response.body = os.str();
     return response;
   }
   if (request.path == "pages") {
@@ -67,14 +66,20 @@ Result<core::ServiceResponse> WebLabService::Handle(
                      "WHERE crawl_ts >= " +
                      std::to_string(since) + " ORDER BY crawl_ts LIMIT " +
                      std::to_string(limit)));
-    std::ostringstream os;
-    os << "url\tcrawl_ts\tbytes\tout_degree\n";
+    std::string& body = response.body;
+    body.reserve(32 + result.rows.size() * 64);
+    body += "url\tcrawl_ts\tbytes\tout_degree\n";
     for (const db::Row& row : result.rows) {
-      os << row[0].AsString() << "\t" << row[1].AsInt() << "\t"
-         << row[2].AsInt() << "\t" << row[3].AsInt() << "\n";
+      body += row[0].AsString();
+      body += '\t';
+      AppendInt(&body, row[1].AsInt());
+      body += '\t';
+      AppendInt(&body, row[2].AsInt());
+      body += '\t';
+      AppendInt(&body, row[3].AsInt());
+      body += '\n';
     }
     response.content_type = "text/tab-separated-values";
-    response.body = os.str();
     return response;
   }
   if (request.path == "extract") {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "db/schema.h"
+#include "util/rng.h"
 
 namespace dflow::db {
 namespace {
@@ -237,6 +239,160 @@ TEST(SchemaTest, ForgedSchemaColumnCountIsCorruption) {
   w.PutVarint(uint64_t{1} << 58);
   ByteReader r(w.data());
   EXPECT_TRUE(Schema::DecodeFrom(r).status().IsCorruption());
+}
+
+// The row decoder before the one-pass rewrite, kept as the reference: a
+// Result per field through ByteReader's getters.
+Result<Value> ReferenceDecodeValue(ByteReader& r) {
+  DFLOW_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
+  switch (static_cast<Type>(tag)) {
+    case Type::kNull:
+      return Value::Null();
+    case Type::kBool: {
+      DFLOW_ASSIGN_OR_RETURN(uint8_t v, r.GetU8());
+      return Value::Bool(v != 0);
+    }
+    case Type::kInt64: {
+      DFLOW_ASSIGN_OR_RETURN(int64_t v, r.GetVarintSigned());
+      return Value::Int(v);
+    }
+    case Type::kDouble: {
+      DFLOW_ASSIGN_OR_RETURN(double v, r.GetDouble());
+      return Value::Double(v);
+    }
+    case Type::kString: {
+      DFLOW_ASSIGN_OR_RETURN(std::string v, r.GetString());
+      return Value::String(std::move(v));
+    }
+  }
+  return Status::Corruption("unknown value type tag");
+}
+
+Result<Row> ReferenceDecodeRow(ByteReader& r) {
+  DFLOW_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  Row row;
+  row.reserve(r.MaxItems(n));
+  for (uint64_t i = 0; i < n; ++i) {
+    DFLOW_ASSIGN_OR_RETURN(Value v, ReferenceDecodeValue(r));
+    row.push_back(std::move(v));
+  }
+  return row;
+}
+
+// Same type and same bits: NaN payloads and -0.0 included.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) {
+    return false;
+  }
+  switch (a.type()) {
+    case Type::kNull:
+      return true;
+    case Type::kBool:
+      return a.AsBool() == b.AsBool();
+    case Type::kInt64:
+      return a.AsInt() == b.AsInt();
+    case Type::kDouble: {
+      const double x = a.AsDouble();
+      const double y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case Type::kString:
+      return a.AsString() == b.AsString();
+  }
+  return false;
+}
+
+// Decodes `bytes` with both decoders and requires the same outcome: the
+// same Corruption message, or the same values and the same end position.
+void ExpectSameDecode(std::string_view bytes) {
+  ByteReader r(bytes);
+  ByteReader ref(bytes);
+  Result<Row> got = DecodeRow(r);
+  Result<Row> want = ReferenceDecodeRow(ref);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString() << " vs "
+                                 << want.status().ToString();
+  if (!want.ok()) {
+    ASSERT_TRUE(got.status().IsCorruption());
+    ASSERT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  ASSERT_EQ(r.position(), ref.position());
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    ASSERT_TRUE(SameValue((*got)[i], (*want)[i])) << "value " << i;
+  }
+}
+
+Value SeededValue(Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (rng.Uniform(0, 4)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Bool(rng.Bernoulli(0.5));
+    case 2: {
+      const int64_t ints[] = {0, 1, -1, 63, -64, 64, INT64_MAX, INT64_MIN,
+                              static_cast<int64_t>(rng.Next())};
+      return Value::Int(ints[rng.Uniform(0, 8)]);
+    }
+    case 3: {
+      uint64_t nan_bits = 0x7ff0000000000001ull | (rng.Next() >> 13);
+      if (rng.Bernoulli(0.5)) {
+        nan_bits |= 0x8000000000000000ull;
+      }
+      double nan;
+      std::memcpy(&nan, &nan_bits, sizeof(nan));
+      const double doubles[] = {0.0, -0.0, kInf, -kInf, nan,
+                                std::numeric_limits<double>::denorm_min(),
+                                rng.UniformReal(-1e6, 1e6)};
+      return Value::Double(doubles[rng.Uniform(0, 6)]);
+    }
+    default: {
+      std::string s(static_cast<size_t>(rng.Uniform(0, 20)), '\0');
+      for (char& c : s) {
+        c = static_cast<char>(rng.Uniform(0, 255));
+      }
+      return Value::String(std::move(s));
+    }
+  }
+}
+
+TEST(SchemaTest, DecodeRowMatchesReferenceDecoder) {
+  Rng rng(18);
+  std::vector<std::string> records;
+  for (int i = 0; i < 1000; ++i) {
+    Row row;
+    const int width = static_cast<int>(rng.Uniform(0, 9));
+    for (int k = 0; k < width; ++k) {
+      row.push_back(SeededValue(rng));
+    }
+    if (i % 400 == 7) {
+      row.push_back(Value::String(std::string(100 * 1024, 'k')));
+      row.push_back(SeededValue(rng));
+    }
+    ByteWriter w;
+    EncodeRow(row, w);
+    records.push_back(w.Take());
+  }
+  for (const std::string& record : records) {
+    ExpectSameDecode(record);
+    // Truncated at every byte.
+    for (size_t len = 0; len < record.size(); ++len) {
+      ExpectSameDecode(std::string_view(record).substr(0, len));
+    }
+  }
+  // Single-byte mutations: tags, counts, varints and lengths alike.
+  for (int i = 0; i < 1000; ++i) {
+    std::string record = records[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(records.size()) - 1))];
+    if (record.empty()) {
+      continue;
+    }
+    const size_t at = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(record.size()) - 1));
+    record[at] = static_cast<char>(record[at] ^ rng.Uniform(1, 255));
+    ExpectSameDecode(record);
+  }
 }
 
 }  // namespace

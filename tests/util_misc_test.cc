@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -57,6 +64,86 @@ TEST(StringsTest, JsonQuoteEscapes) {
   // DEL and UTF-8 multibyte sequences pass through byte for byte.
   EXPECT_EQ(JsonQuote("\x7f caf\xc3\xa9 \xe2\x82\xac"),
             "\"\x7f caf\xc3\xa9 \xe2\x82\xac\"");
+}
+
+// The formatting helpers are checked against what they replace in the
+// response writers: a std::ostringstream in its default float format.
+std::string Streamed(double v, int precision) {
+  std::ostringstream os;
+  os.precision(precision);
+  os << v;
+  return os.str();
+}
+
+std::string Appended(double v, int precision) {
+  std::string out = "x";  // Appends after what is already there.
+  AppendDouble(&out, v, precision);
+  return out.substr(1);
+}
+
+TEST(StringsTest, AppendDoubleMatchesOstream) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inputs = {
+      0.0, -0.0, kInf, -kInf, nan, -nan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+      -DBL_MIN / 7.0, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+      0.5, 1.0 / 3.0, 2.0 / 3.0, 123456.5, 999999.5, 9999995.0,
+      0.0001, 0.00001, 1e-5 * 0.99999999, 99.99995, 1e12 - 0.5};
+  for (int e = -20; e <= 20; ++e) {
+    const double x = std::pow(10.0, e);
+    for (double v : {x, std::nextafter(x, 0.0), std::nextafter(x, kInf)}) {
+      inputs.push_back(v);
+      inputs.push_back(-v);
+    }
+  }
+  Rng rng(20261017);
+  for (int i = 0; i < 100000; ++i) {
+    double v;
+    if (i % 2 == 0) {
+      // Any bit pattern: every exponent, denormals, infinities and NaNs.
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+    } else {
+      // Magnitudes like the served candidate fields.
+      v = rng.UniformReal(-1.0, 1.0) *
+          std::pow(10.0, static_cast<double>(rng.Uniform(-8, 8)));
+    }
+    inputs.push_back(v);
+  }
+  for (int precision : {6, 12}) {
+    for (double v : inputs) {
+      ASSERT_EQ(Appended(v, precision), Streamed(v, precision))
+          << "precision " << precision;
+    }
+  }
+  for (int precision : {0, 1, 17, 40}) {
+    for (double v : {0.1, -1e300, 123.456, 5e-324}) {
+      EXPECT_EQ(Appended(v, precision), Streamed(v, precision));
+    }
+  }
+}
+
+TEST(StringsTest, AppendIntMatchesOstream) {
+  std::vector<int64_t> inputs = {0, 1, -1, INT64_MAX, INT64_MIN,
+                                 INT64_MAX - 1, INT64_MIN + 1};
+  for (int64_t p = 10; p <= INT64_MAX / 10; p *= 10) {
+    for (int64_t v : {p, p - 1, -p, 1 - p}) {
+      inputs.push_back(v);
+    }
+  }
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    inputs.push_back(static_cast<int64_t>(rng.Next()));
+  }
+  for (int64_t v : inputs) {
+    std::ostringstream os;
+    os << v;
+    std::string out = "x";
+    AppendInt(&out, v);
+    ASSERT_EQ(out.substr(1), os.str());
+  }
 }
 
 TEST(UnitsTest, FormatBytes) {

@@ -9,6 +9,8 @@
 
 #include "arecibo/candidate_service.h"
 #include "core/web_service.h"
+#include "util/md5.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "eventstore/event_store.h"
 #include "eventstore/eventstore_service.h"
@@ -325,6 +327,215 @@ TEST(WebLabServiceTest, RetroSearchPagesExtract) {
   ASSERT_TRUE(registry.Mount("arecibo", std::move(*candidates)).ok());
   EXPECT_TRUE(registry.Handle(Req("weblab/pages")).ok());
   EXPECT_TRUE(registry.Handle(Req("arecibo/count")).ok());
+}
+
+/// The three services mounted over one fixed, seeded dataset: Arecibo
+/// candidates (with a few hand-picked doubles that change how "%g" writes
+/// them), an EventStore with two versions of some runs, provenance on
+/// some files and two evolving grades, and a 40-page WebLab crawl.
+struct SeededServices {
+  db::Database arecibo_db;
+  std::unique_ptr<eventstore::EventStore> store;
+  db::Database weblab_db;
+  weblab::PageStore page_store;
+  weblab::InvertedIndex index;
+  weblab::Crawl crawl;
+  ServiceRegistry registry;
+
+  void SetUp() {
+    Rng rng(42);
+    std::vector<arecibo::Candidate> candidates;
+    for (int pointing = 0; pointing < 6; ++pointing) {
+      for (int i = 0; i < 25; ++i) {
+        arecibo::Candidate candidate;
+        candidate.pointing = pointing;
+        candidate.beam = static_cast<int>(rng.Uniform(0, 6));
+        candidate.freq_hz = rng.UniformReal(1.0, 700.0);
+        candidate.dm = rng.UniformReal(10.0, 300.0);
+        candidate.snr = rng.UniformReal(8.0, 40.0);
+        candidate.rfi_flag = rng.Bernoulli(0.3);
+        candidates.push_back(candidate);
+      }
+    }
+    for (double freq : {1e-7, 0.000123456789, 1234567.5, 1e15, 0.0}) {
+      arecibo::Candidate candidate;
+      candidate.pointing = 6;
+      candidate.freq_hz = freq;
+      candidate.dm = freq * 3;
+      candidate.snr = 100.0 + freq;
+      candidates.push_back(candidate);
+    }
+    auto candidate_service = arecibo::CandidateService::Create(&arecibo_db);
+    ASSERT_TRUE(candidate_service.ok());
+    ASSERT_TRUE((*candidate_service)->Load(candidates).ok());
+    ASSERT_TRUE(
+        registry.Mount("arecibo", std::move(*candidate_service)).ok());
+
+    auto created =
+        eventstore::EventStore::Create(eventstore::StoreScale::kCollaboration);
+    ASSERT_TRUE(created.ok());
+    store = *std::move(created);
+    prov::ProcessingStep step;
+    step.module = "recon";
+    step.version = prov::VersionTag{"Recon", "Feb13_04_P2", 1076630400};
+    step.input_files = {"/raw/run"};
+    for (int64_t run = 1; run <= 30; ++run) {
+      for (const char* data_type : {"raw", "recon"}) {
+        eventstore::FileEntry entry{run, data_type, "R1", 100 + run,
+                                    100000 + 1000 * run,
+                                    "/hsm/" + std::string(data_type) + "/" +
+                                        std::to_string(run),
+                                    {}};
+        if (run % 3 == 0) {
+          entry.provenance.AddStep(step);
+        }
+        ASSERT_TRUE(store->RegisterFile(entry).ok());
+      }
+      if (run % 4 == 0) {
+        ASSERT_TRUE(store
+                        ->RegisterFile({run, "recon", "R2", 400 + run,
+                                        200000 + run, "/hsm/recon2", {}})
+                        .ok());
+      }
+    }
+    for (int k = 1; k <= 5; ++k) {
+      ASSERT_TRUE(store
+                      ->AssignGrade("physics", 100 * k, {1, 6 * k}, "recon",
+                                    k >= 4 ? "R2" : "R1")
+                      .ok());
+    }
+    ASSERT_TRUE(store->AssignGrade("prelim", 250, {5, 20}, "raw", "R1").ok());
+    ASSERT_TRUE(registry
+                    .Mount("cleo",
+                           std::make_shared<eventstore::EventStoreService>(
+                               store.get()))
+                    .ok());
+
+    weblab::CrawlerConfig config;
+    config.initial_pages = 40;
+    config.seed = 7;
+    crawl = weblab::SyntheticCrawler(config).NextCrawl();
+    weblab::PreloadSubsystem preload(weblab::PreloadConfig{}, &weblab_db,
+                                     &page_store);
+    ASSERT_TRUE(
+        preload.LoadArcFiles({weblab::WriteArcFile(crawl.pages)}).ok());
+    ASSERT_TRUE(
+        preload.LoadDatFiles({weblab::WriteDatFile(crawl.pages)}).ok());
+    for (const auto& page : crawl.pages) {
+      index.AddPage(page.url, page.content);
+    }
+    ASSERT_TRUE(registry
+                    .Mount("weblab", std::make_shared<weblab::WebLabService>(
+                                         &page_store, &weblab_db, &index))
+                    .ok());
+  }
+
+  int64_t Count(const std::string& table) {
+    auto result = weblab_db.Execute("SELECT COUNT(*) FROM " + table);
+    return result.ok() ? result->rows[0][0].AsInt() : -1;
+  }
+};
+
+// Every byte each service serves, pinned: the MD5 over every endpoint's
+// request, content type and body (all but extract, which writes). The
+// constant was recorded from the std::ostringstream body writers, so a
+// writer, row decoder or snapshot resolution that moves any served byte
+// fails here.
+TEST(ServedBytesTest, EveryEndpointBodyIsPinned) {
+  SeededServices services;
+  services.SetUp();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  std::vector<ServiceRequest> requests;
+  requests.push_back(Req("arecibo/votable"));
+  for (int pointing = 0; pointing <= 6; ++pointing) {
+    requests.push_back(
+        Req("arecibo/votable", {{"pointing", std::to_string(pointing)}}));
+  }
+  for (const char* limit : {"5", "200"}) {
+    for (const char* rfi : {"0", "1"}) {
+      requests.push_back(
+          Req("arecibo/top", {{"limit", limit}, {"include_rfi", rfi}}));
+    }
+  }
+  requests.push_back(Req("arecibo/count"));
+  requests.push_back(Req("arecibo/pointings"));
+  for (const char* grade : {"physics", "prelim"}) {
+    for (int64_t ts : {50, 100, 150, 250, 399, 400, 450, 600}) {
+      requests.push_back(
+          Req("cleo/resolve", {{"grade", grade}, {"ts", std::to_string(ts)}}));
+    }
+  }
+  requests.push_back(Req("cleo/resolve", {{"grade", "physics"}}));
+  requests.push_back(Req("cleo/grades"));
+  requests.push_back(Req("cleo/history", {{"grade", "physics"}}));
+  requests.push_back(Req("cleo/history", {{"grade", "prelim"}}));
+  for (int64_t run : {1, 4, 8, 30}) {
+    requests.push_back(Req("cleo/versions", {{"run", std::to_string(run)},
+                                             {"data_type", "recon"}}));
+  }
+  requests.push_back(Req("cleo/summary"));
+  const std::string date = std::to_string(services.crawl.crawl_time + 5);
+  for (size_t i = 0; i < services.crawl.pages.size(); i += 4) {
+    for (const char* path : {"weblab/retro", "weblab/links"}) {
+      requests.push_back(
+          Req(path, {{"url", services.crawl.pages[i].url}, {"date", date}}));
+    }
+  }
+  for (const char* q : {"w1", "w2 w3", "w7", "w40"}) {
+    requests.push_back(Req("weblab/search", {{"q", q}}));
+  }
+  for (const char* limit : {"10", "100"}) {
+    requests.push_back(Req("weblab/pages", {{"limit", limit}}));
+  }
+  requests.push_back(Req(
+      "weblab/pages",
+      {{"since", std::to_string(services.crawl.crawl_time)}, {"limit", "3"}}));
+
+  Md5 md5;
+  size_t body_bytes = 0;
+  for (const ServiceRequest& request : requests) {
+    auto response = services.registry.Handle(request);
+    ASSERT_TRUE(response.ok())
+        << request.path << ": " << response.status().ToString();
+    md5.Update(request.path + "\n");
+    for (const auto& [key, value] : request.params) {
+      md5.Update(key + "=" + value + "\n");
+    }
+    md5.Update(response->content_type + "\n");
+    md5.Update(std::to_string(response->body.size()) + "\n");
+    md5.Update(response->body);
+    body_bytes += response->body.size();
+  }
+  EXPECT_GT(body_bytes, 50000u);
+  EXPECT_EQ(md5.HexDigest(), "13561ebf673253249c715669acd33d14");
+}
+
+// A served extract runs only a SELECT: a DELETE or DROP TABLE in ?sql=
+// is refused before it can change the database.
+TEST(WebLabServiceTest, ExtractRefusesStatementsThatAreNotSelects) {
+  SeededServices services;
+  services.SetUp();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  const int64_t pages = services.Count("pages");
+  const int64_t links = services.Count("links");
+  ASSERT_GT(pages, 0);
+  ASSERT_GT(links, 0);
+  const std::vector<std::string> tables =
+      services.weblab_db.catalog().TableNames();
+
+  for (const char* sql : {"DELETE FROM links", "DROP TABLE pages"}) {
+    auto response = services.registry.Handle(
+        Req("weblab/extract", {{"name", "v1"}, {"sql", sql}}));
+    EXPECT_TRUE(response.status().IsInvalidArgument()) << sql;
+    EXPECT_EQ(services.Count("pages"), pages) << sql;
+    EXPECT_EQ(services.Count("links"), links) << sql;
+    EXPECT_EQ(services.weblab_db.catalog().TableNames(), tables) << sql;
+  }
+  auto extract = services.registry.Handle(Req(
+      "weblab/extract", {{"name", "v1"}, {"sql", "SELECT url FROM pages"}}));
+  ASSERT_TRUE(extract.ok()) << extract.status().ToString();
+  EXPECT_EQ(services.Count("v1"), pages);
 }
 
 }  // namespace

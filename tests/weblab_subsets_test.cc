@@ -61,6 +61,23 @@ TEST_F(SubsetTest, NameCollisionRejected) {
       ExtractSubset(&db_, "v2", "SELECT * FROM nope").status().IsNotFound());
 }
 
+TEST_F(SubsetTest, NonSelectStatementsAreRefusedBeforeTheyRun) {
+  const std::vector<std::string> tables = db_.catalog().TableNames();
+  for (const char* sql :
+       {"DELETE FROM pages", "DROP TABLE pages",
+        "UPDATE pages SET bytes = 0",
+        "INSERT INTO pages VALUES ('http://c.org/1', 300, 700)",
+        "CREATE TABLE other (x INT)"}) {
+    EXPECT_TRUE(ExtractSubset(&db_, "v1", sql).status().IsInvalidArgument())
+        << sql;
+    EXPECT_EQ(db_.catalog().TableNames(), tables) << sql;
+    auto pages = db_.Execute("SELECT COUNT(*), SUM(bytes) FROM pages");
+    ASSERT_TRUE(pages.ok()) << sql;
+    ASSERT_EQ(pages->rows[0][0].AsInt(), 4) << sql;
+    EXPECT_EQ(pages->rows[0][1].AsInt(), 5100) << sql;
+  }
+}
+
 TEST(FocusedSelectionTest, RanksTopicPagesFirst) {
   InvertedIndex index;
   // Topic pages mention rare discriminative terms; background pages share
