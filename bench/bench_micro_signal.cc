@@ -1,6 +1,7 @@
-// Microbenchmarks of the Arecibo signal-processing kernels: FFT,
-// dedispersion, harmonic-summed search, and wlz (de)compression -- the
-// CPU costs behind the paper's "50 to 200 processors" estimate.
+// Microbenchmarks of the Arecibo signal-processing kernels: noise
+// synthesis, FFT, dedispersion, harmonic-summed search, one survey beam and
+// one pointing, and wlz (de)compression -- the CPU costs behind the paper's
+// "50 to 200 processors" estimate.
 
 #include <cmath>
 #include <complex>
@@ -12,9 +13,12 @@
 #include "arecibo/fft.h"
 #include "arecibo/search.h"
 #include "arecibo/spectrometer.h"
+#include "arecibo/survey.h"
+#include "par/par.h"
 #include "util/compress.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -59,6 +63,62 @@ void BM_FftTwiddleTable(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FftTwiddleTable);
+
+// Mains RFI across the band, as the survey_block pointings carry it.
+RfiParams MainsRfi(int channels) {
+  RfiParams rfi;
+  rfi.period_sec = 1.0 / 60.0;
+  rfi.amplitude = 1.5;
+  rfi.channel_lo = 0;
+  rfi.channel_hi = channels - 1;
+  return rfi;
+}
+
+void BM_SpectrometerGenerate(benchmark::State& state) {
+  // One survey beam of radiometer noise: 96 channels x 8192 samples.
+  const SurveyConfig config;
+  SpectrometerModel model(config.num_channels, config.num_samples,
+                          config.sample_time_sec, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Generate({}, {}));
+  }
+  state.SetItemsProcessed(state.iterations() * config.num_channels *
+                          config.num_samples);
+}
+BENCHMARK(BM_SpectrometerGenerate)->Unit(benchmark::kMillisecond);
+
+void BM_SurveyBeam(benchmark::State& state) {
+  // One default beam as ProcessPointing runs it on a worker: synthesis,
+  // the 24-trial DM sweep and the batched search, every region inline.
+  const SurveyConfig config;
+  const Dedisperser dedisperser(
+      MakeDmTrials(config.dm_max, config.num_dm_trials));
+  const PeriodicitySearch search(config.search);
+  const RfiParams rfi = MainsRfi(config.num_channels);
+  par::SerialOverride serial;
+  for (auto _ : state) {
+    SpectrometerModel model(config.num_channels, config.num_samples,
+                            config.sample_time_sec, 2);
+    const DynamicSpectrum spectrum = model.Generate({}, {rfi});
+    const std::vector<TimeSeries> trials =
+        dedisperser.DedisperseAll(spectrum);
+    benchmark::DoNotOptimize(search.SearchBatch(trials));
+  }
+}
+BENCHMARK(BM_SurveyBeam)->Unit(benchmark::kMillisecond);
+
+void BM_SurveyPointing(benchmark::State& state) {
+  // A default 7-beam pointing on a 2-thread pool, as survey_block runs it.
+  const SurveyConfig config;
+  SurveyPipeline pipeline(config);
+  const RfiParams rfi = MainsRfi(config.num_channels);
+  ThreadPool pool(2);
+  par::ScopedPool scoped(&pool);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.ProcessPointing(1, {}, {rfi}));
+  }
+}
+BENCHMARK(BM_SurveyPointing)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_DedisperseOneTrial(benchmark::State& state) {
   SpectrometerModel model(96, 1 << 14, 6.4e-5, 2);

@@ -153,6 +153,38 @@ KernelResult BenchAddF32ToF64(const KernelTable& scalar,
   return r;
 }
 
+KernelResult BenchAdd4F32ToF64(const KernelTable& scalar,
+                               const KernelTable& vec) {
+  KernelResult r;
+  r.name = "add4_f32_to_f64";
+  r.n = kN;
+  Rng rng(18);
+  std::vector<float> rows(4 * kN);
+  for (auto& x : rows) {
+    x = static_cast<float>(rng.Normal());
+  }
+  const float* r0 = rows.data();
+  const float* r1 = r0 + kN;
+  const float* r2 = r1 + kN;
+  const float* r3 = r2 + kN;
+  std::vector<double> acc(kN, 0.0);
+  auto run = [&](const KernelTable& t) {
+    for (int i = 0; i < kReps; ++i) {
+      t.add4_f32_to_f64(r0, r1, r2, r3, acc.data(), kN);
+      Escape(acc.data());
+    }
+  };
+  r.scalar_sec = TimeSec([&] { run(scalar); });
+  r.vector_sec = TimeSec([&] { run(vec); });
+  CheckIdentity(&r, sizeof(double) * kN,
+                [&](const KernelTable& t, unsigned char* out) {
+                  std::vector<double> a(kN, 1.5);
+                  t.add4_f32_to_f64(r0, r1, r2, r3, a.data(), kN);
+                  std::memcpy(out, a.data(), sizeof(double) * kN);
+                });
+  return r;
+}
+
 KernelResult BenchScaleF64(const KernelTable& scalar, const KernelTable& vec) {
   KernelResult r;
   r.name = "scale_f64";
@@ -386,6 +418,7 @@ int main() {
 
   std::vector<KernelResult> results;
   results.push_back(BenchAddF32ToF64(scalar, vec));
+  results.push_back(BenchAdd4F32ToF64(scalar, vec));
   results.push_back(BenchScaleF64(scalar, vec));
   results.push_back(BenchFftStage(scalar, vec));
   results.push_back(BenchStridedAdd(scalar, vec));

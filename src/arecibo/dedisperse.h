@@ -44,12 +44,14 @@ class Dedisperser {
 
   const std::vector<double>& dm_trials() const { return dm_trials_; }
 
-  /// One trial.
+  /// One trial: the one-trial case of DedisperseAll.
   TimeSeries Dedisperse(const DynamicSpectrum& spectrum, double dm) const;
 
-  /// All trials, parallel across the DM set on the dflow::par shared pool
-  /// (the paper's "50 to 200 processors" axis). Output is byte-identical
-  /// at any thread count: each trial writes its own pre-sized slot.
+  /// All trials, a block of samples at a time: blocks run in parallel on
+  /// the dflow::par shared pool (the paper's "50 to 200 processors" axis)
+  /// and every trial is summed inside each block, so a block's input rows
+  /// stay in cache across the DM set. Output is byte-identical at any
+  /// thread count: each block writes its own slice of every series.
   std::vector<TimeSeries> DedisperseAll(const DynamicSpectrum& spectrum) const;
 
   /// Bytes the full trial set would occupy for this spectrum (the "30 TB

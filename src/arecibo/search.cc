@@ -16,20 +16,25 @@ namespace {
 /// range (the spectrum is chi-squared distributed and peaky; plain
 /// mean/stddev would be dragged up by the very signals we search for).
 /// Quantiles come from nth_element (exact order statistics — the same
-/// values a full sort would give, at O(n) instead of O(n log n)).
+/// values a full sort would give, at O(n) instead of O(n log n)). One
+/// partition places the median; everything before it is no larger and
+/// everything after it no smaller, so q1 is the same order statistic of
+/// the lower part and q3 of the upper part.
 void RobustStats(const std::vector<double>& power, double* location,
                  double* scale) {
   std::vector<double> scratch(power.begin() + 1, power.end());
   const size_t n = scratch.size();
-  auto quantile = [&scratch](size_t index) {
-    std::nth_element(scratch.begin(),
+  auto quantile = [&scratch](size_t lo, size_t index, size_t hi) {
+    std::nth_element(scratch.begin() + static_cast<ptrdiff_t>(lo),
                      scratch.begin() + static_cast<ptrdiff_t>(index),
-                     scratch.end());
+                     scratch.begin() + static_cast<ptrdiff_t>(hi));
     return scratch[index];
   };
-  double q1 = quantile(n / 4);
-  *location = quantile(n / 2);
-  double q3 = quantile((3 * n) / 4);
+  const size_t mid = n / 2;
+  *location = quantile(0, mid, n);
+  const double q1 = n / 4 < mid ? quantile(0, n / 4, mid) : *location;
+  const double q3 =
+      (3 * n) / 4 > mid ? quantile(mid + 1, (3 * n) / 4, n) : *location;
   // IQR -> sigma for an exponential-ish distribution; 1.349 is the
   // Gaussian conversion, close enough for thresholding.
   *scale = std::max((q3 - q1) / 1.349, 1e-12);
@@ -40,6 +45,9 @@ void RobustStats(const std::vector<double>& power, double* location,
 PeriodicitySearch::PeriodicitySearch(SearchConfig config) : config_(config) {
   DFLOW_CHECK(config_.max_harmonics >= 1);
   DFLOW_CHECK(config_.max_candidates >= 1);
+  // Harmonic summing reads power[k * h] and the peak test best_snr[k - 1]
+  // for every bin k from min_bin on; both need k >= 1.
+  DFLOW_CHECK(config_.min_bin >= 1) << "min_bin " << config_.min_bin;
 }
 
 std::vector<Candidate> PeriodicitySearch::SearchPower(

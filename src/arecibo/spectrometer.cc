@@ -30,9 +30,7 @@ DynamicSpectrum SpectrometerModel::Generate(
   spec.power.resize(static_cast<size_t>(num_channels_) * num_samples_);
 
   // Radiometer noise: independent Gaussian per (channel, sample).
-  for (float& x : spec.power) {
-    x = static_cast<float>(rng_.Normal(0.0, 1.0));
-  }
+  rng_.FillStandardNormal(spec.power.data(), spec.power.size());
 
   const double block_sec = static_cast<double>(num_samples_) * sample_time_;
 

@@ -24,6 +24,35 @@ void AddF32ToF64(const float* src, double* acc, int64_t n) {
   }
 }
 
+// Two 4-lane accumulators per step; each lane adds r0, r1, r2, r3 in
+// order, exactly as the scalar loop does.
+void Add4F32ToF64(const float* r0, const float* r1, const float* r2,
+                  const float* r3, double* acc, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256d lo = _mm256_loadu_pd(acc + i);
+    __m256d hi = _mm256_loadu_pd(acc + i + 4);
+    const auto add_row = [&](const float* row) {
+      lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm_loadu_ps(row + i)));
+      hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm_loadu_ps(row + i + 4)));
+    };
+    add_row(r0);
+    add_row(r1);
+    add_row(r2);
+    add_row(r3);
+    _mm256_storeu_pd(acc + i, lo);
+    _mm256_storeu_pd(acc + i + 4, hi);
+  }
+  for (; i < n; ++i) {
+    double sum = acc[i];
+    sum += static_cast<double>(r0[i]);
+    sum += static_cast<double>(r1[i]);
+    sum += static_cast<double>(r2[i]);
+    sum += static_cast<double>(r3[i]);
+    acc[i] = sum;
+  }
+}
+
 void ScaleF64(double* data, int64_t n, double factor) {
   const __m256d f = _mm256_set1_pd(factor);
   int64_t i = 0;
@@ -231,6 +260,7 @@ double GatherSumF64(const double* values, const int* indices, int64_t n) {
 
 void FillAvx2(KernelTable* table) {
   table->add_f32_to_f64 = &AddF32ToF64;
+  table->add4_f32_to_f64 = &Add4F32ToF64;
   table->scale_f64 = &ScaleF64;
   table->div_f64 = &DivF64;
   table->fft_stage = &FftStage;

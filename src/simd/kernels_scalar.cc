@@ -15,6 +15,18 @@ void AddF32ToF64(const float* src, double* acc, int64_t n) {
   }
 }
 
+void Add4F32ToF64(const float* r0, const float* r1, const float* r2,
+                  const float* r3, double* acc, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    double sum = acc[i];
+    sum += static_cast<double>(r0[i]);
+    sum += static_cast<double>(r1[i]);
+    sum += static_cast<double>(r2[i]);
+    sum += static_cast<double>(r3[i]);
+    acc[i] = sum;
+  }
+}
+
 void ScaleF64(double* data, int64_t n, double factor) {
   for (int64_t i = 0; i < n; ++i) {
     data[i] *= factor;
@@ -99,6 +111,7 @@ double GatherSumF64(const double* values, const int* indices, int64_t n) {
 
 void FillScalar(KernelTable* table) {
   table->add_f32_to_f64 = &AddF32ToF64;
+  table->add4_f32_to_f64 = &Add4F32ToF64;
   table->scale_f64 = &ScaleF64;
   table->div_f64 = &DivF64;
   table->fft_stage = &FftStage;

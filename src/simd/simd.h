@@ -39,6 +39,13 @@ struct KernelTable {
   /// widening is exact, one add per element in index order.
   void (*add_f32_to_f64)(const float* src, double* acc, int64_t n);
 
+  /// acc[i] = (((acc[i] + (double)r0[i]) + (double)r1[i]) + (double)r2[i])
+  ///          + (double)r3[i]. Four dedispersion channel rows per pass, in
+  /// row order: the adds of four add_f32_to_f64 calls, in their order,
+  /// with one load and one store of acc[i] instead of four.
+  void (*add4_f32_to_f64)(const float* r0, const float* r1, const float* r2,
+                          const float* r3, double* acc, int64_t n);
+
   /// data[i] *= factor. Dedispersion normalization; one multiply each.
   void (*scale_f64)(double* data, int64_t n, double factor);
 

@@ -19,6 +19,25 @@ uint64_t SplitMix64(uint64_t& x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// The Marsaglia polar method, shared by Normal() and FillStandardNormal():
+// draw u, then v, uniform in [-1, 1); accept the point when
+// s = u^2 + v^2 lies inside the unit circle and off the origin; then
+// u * factor and v * factor are two independent standard normals.
+double PolarPoint(Rng& rng, double* u, double* v) {
+  *u = rng.UniformReal(-1.0, 1.0);
+  *v = rng.UniformReal(-1.0, 1.0);
+  return *u * *u + *v * *v;
+}
+
+bool PolarAccepts(double s) { return s < 1.0 && s != 0.0; }
+
+double PolarFactor(double s, double log_s) {
+  return std::sqrt(-2.0 * log_s / s);
+}
+
+// Accepted points per FillStandardNormal batch (two normals each).
+constexpr size_t kPolarBatch = 128;
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -47,7 +66,10 @@ double Rng::NextDouble() {
 
 int64_t Rng::Uniform(int64_t lo, int64_t hi) {
   DFLOW_CHECK(lo <= hi) << "Uniform(" << lo << ", " << hi << ")";
-  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo exceeds INT64_MAX on wide ranges, and the
+  // full range wraps to 0.
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (range == 0) {
     return static_cast<int64_t>(Next());  // Full 64-bit range.
   }
@@ -57,7 +79,7 @@ int64_t Rng::Uniform(int64_t lo, int64_t hi) {
   while (value >= limit) {
     value = Next();
   }
-  return lo + static_cast<int64_t>(value % range);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + value % range);
 }
 
 double Rng::UniformReal(double lo, double hi) {
@@ -71,14 +93,47 @@ double Rng::Normal(double mean, double stddev) {
   }
   double u, v, s;
   do {
-    u = UniformReal(-1.0, 1.0);
-    v = UniformReal(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  double factor = std::sqrt(-2.0 * std::log(s) / s);
+    s = PolarPoint(*this, &u, &v);
+  } while (!PolarAccepts(s));
+  const double factor = PolarFactor(s, std::log(s));
   spare_normal_ = v * factor;
   has_spare_normal_ = true;
   return mean + stddev * u * factor;
+}
+
+void Rng::FillStandardNormal(float* out, size_t n) {
+  // Normal(0.0, 1.0) returns 0.0 + 1.0 * u * factor, which equals
+  // u * factor: the sum differs only for -0.0, and u, v = -1 + 2 * d are
+  // exact and never -0.0. So each pair below is what two Normal() calls
+  // return, the second one's value being the first one's spare.
+  size_t i = 0;
+  if (n > 0 && has_spare_normal_) {
+    out[i++] = static_cast<float>(Normal(0.0, 1.0));
+  }
+  double u[kPolarBatch], v[kPolarBatch], s[kPolarBatch], log_s[kPolarBatch];
+  while (n - i >= 2) {
+    const size_t pairs = std::min(kPolarBatch, (n - i) / 2);
+    // Every candidate lands in slot k and only an accepted one moves k on,
+    // so rejection costs no branch.
+    for (size_t k = 0; k < pairs;) {
+      s[k] = PolarPoint(*this, &u[k], &v[k]);
+      k += PolarAccepts(s[k]) ? 1 : 0;
+    }
+    for (size_t k = 0; k < pairs; ++k) {
+      log_s[k] = std::log(s[k]);
+    }
+    float* pair_out = out + i;
+    for (size_t k = 0; k < pairs; ++k) {
+      const double factor = PolarFactor(s[k], log_s[k]);
+      pair_out[2 * k] = static_cast<float>(u[k] * factor);
+      pair_out[2 * k + 1] = static_cast<float>(v[k] * factor);
+    }
+    i += 2 * pairs;
+  }
+  if (i < n) {
+    // An odd tail draws one more pair and leaves its spare pending.
+    out[i] = static_cast<float>(Normal(0.0, 1.0));
+  }
 }
 
 double Rng::Exponential(double rate) {

@@ -32,6 +32,13 @@ class Rng {
   /// Standard normal via the Marsaglia polar method.
   double Normal(double mean = 0.0, double stddev = 1.0);
 
+  /// Writes n standard normals to out[0, n): the same floats, from the same
+  /// draws, as n calls of static_cast<float>(Normal(0.0, 1.0)), including
+  /// a pending spare on entry and the spare left for the next Normal().
+  /// Accepted polar points are batched so the acceptance test, std::log
+  /// and the sqrt/divide/multiply each run as a loop of their own.
+  void FillStandardNormal(float* out, size_t n);
+
   /// Exponential with the given rate (mean 1/rate). Requires rate > 0.
   double Exponential(double rate);
 

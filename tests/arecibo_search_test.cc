@@ -6,6 +6,7 @@
 #include "arecibo/search.h"
 #include "arecibo/sifter.h"
 #include "arecibo/spectrometer.h"
+#include "util/rng.h"
 
 namespace dflow::arecibo {
 namespace {
@@ -157,6 +158,33 @@ TEST(PeriodicitySearchTest, HarmonicSummingHelpsNarrowPulses) {
     }
   }
   EXPECT_TRUE(multi_harmonic);
+}
+
+TEST(PeriodicitySearchDeathTest, RejectsMinBinBelowOne) {
+  // min_bin -3 would read before power[] in the harmonic sum, and min_bin
+  // 0 would read best_snr[-1] in the peak test; both are refused up front.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int min_bin : {-3, 0}) {
+    SearchConfig config;
+    config.min_bin = min_bin;
+    config.snr_threshold = 0.0;
+    EXPECT_DEATH(PeriodicitySearch{config}, "min_bin >= 1")
+        << "min_bin " << min_bin;
+    EXPECT_DEATH((AccelerationSearch{config, {0.0}}), "min_bin >= 1")
+        << "min_bin " << min_bin;
+  }
+  // The lowest bin allowed reads only power[1..] and best_snr[0..]
+  // (checked under ASan).
+  SearchConfig lowest;
+  lowest.min_bin = 1;
+  lowest.snr_threshold = 0.0;
+  TimeSeries series;
+  series.sample_time_sec = 1e-3;
+  Rng rng(61);
+  for (int i = 0; i < 64; ++i) {
+    series.samples.push_back(rng.Normal());
+  }
+  EXPECT_FALSE(PeriodicitySearch(lowest).Search(series).empty());
 }
 
 TEST(AccelerationSearchTest, ResampleIdentityAtZero) {

@@ -2,13 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <vector>
 
+#include "arecibo/dedisperse.h"
 #include "arecibo/flow.h"
 #include "arecibo/votable.h"
 #include "core/flow_graph.h"
 #include "core/flow_runner.h"
+#include "par/par.h"
 #include "sim/simulation.h"
+#include "util/md5.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace dflow::arecibo {
@@ -139,6 +149,146 @@ TEST(AreciboFlowTest, FigureOneVolumesMatchPaperRatios) {
   EXPECT_EQ(steps[3].site, "CTC");
   EXPECT_EQ(steps[4].site, "PALFA-members");
   EXPECT_EQ(steps[7].site, "NVO");
+}
+
+// Dedispersion as the per-channel loop computes it: each channel added
+// over its in-range samples, channel by channel, then the sqrt(C)
+// normalization. The blocked kernels must reproduce it byte for byte.
+std::vector<double> PerChannelDedisperse(const DynamicSpectrum& spectrum,
+                                         double dm) {
+  const int64_t n = spectrum.num_samples;
+  std::vector<double> out(static_cast<size_t>(n), 0.0);
+  const std::vector<int64_t> shifts = DelayShiftTable(spectrum, dm);
+  for (int channel = 0; channel < spectrum.num_channels; ++channel) {
+    const int64_t shift = shifts[static_cast<size_t>(channel)];
+    const int64_t lo = std::max<int64_t>(0, -shift);
+    const int64_t hi = std::min<int64_t>(n, n - shift);
+    for (int64_t s = lo; s < hi; ++s) {
+      out[static_cast<size_t>(s)] +=
+          static_cast<double>(spectrum.At(channel, s + shift));
+    }
+  }
+  const double norm =
+      1.0 / std::sqrt(static_cast<double>(spectrum.num_channels));
+  for (double& x : out) {
+    x *= norm;
+  }
+  return out;
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DedisperseDifferentialTest, BlockedSumMatchesPerChannelLoop) {
+  // Negative shifts, none, small and large ones, and a DM that pushes most
+  // channels wholly out of range.
+  const std::vector<double> dms = {-50.0, 0.0, 10.0, 300.0, 5000.0};
+  const Dedisperser dedisperser(dms);
+  // Signed zeros and infinities in the input. The NaN is the one inf - inf
+  // gives on this host, so every NaN an add meets or makes has one
+  // encoding, whichever operand order the compiler picks.
+  const volatile float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, inf, -inf, inf - inf};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int threads : {1, 2, 4}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (int channels : {1, 3, 4, 5, 96, 97}) {
+    for (int64_t samples : {7, 1000, 1024, 1500, 8192}) {
+      DynamicSpectrum spectrum;
+      spectrum.num_channels = channels;
+      spectrum.num_samples = samples;
+      spectrum.power.resize(static_cast<size_t>(channels * samples));
+      Rng rng(static_cast<uint64_t>(channels * 100003 + samples));
+      for (float& x : spectrum.power) {
+        x = rng.Bernoulli(0.002) ? specials[rng.Uniform(0, 4)]
+                                 : static_cast<float>(rng.Normal());
+      }
+      std::vector<std::vector<double>> expected;
+      for (double dm : dms) {
+        expected.push_back(PerChannelDedisperse(spectrum, dm));
+      }
+      for (const auto& pool : pools) {
+        par::ScopedPool scoped(pool.get());
+        const std::vector<TimeSeries> all =
+            dedisperser.DedisperseAll(spectrum);
+        ASSERT_EQ(all.size(), dms.size());
+        for (size_t t = 0; t < dms.size(); ++t) {
+          EXPECT_EQ(all[t].dm, dms[t]);
+          EXPECT_EQ(all[t].sample_time_sec, spectrum.sample_time_sec);
+          EXPECT_TRUE(SameBytes(all[t].samples, expected[t]))
+              << "DedisperseAll: " << channels << " x " << samples
+              << " at DM " << dms[t] << ", " << pool->num_threads()
+              << " threads";
+          EXPECT_TRUE(SameBytes(
+              dedisperser.Dedisperse(spectrum, dms[t]).samples, expected[t]))
+              << "Dedisperse: " << channels << " x " << samples << " at DM "
+              << dms[t] << ", " << pool->num_threads() << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST(BeamDigestTest, GenerateDedisperseAndDetectionsArePinned) {
+  // One MD5 over a default-config beam's noise and pulsar bytes, its full
+  // DM sweep, and the detections of eight default-config pointings, two of
+  // them with a pulsar. Any change to a sample, a series or a detection
+  // moves it.
+  const SurveyConfig config;
+  PulsarParams pulsar;
+  pulsar.period_sec = 1.0 / 91.3;
+  pulsar.dm = 120.0;
+  pulsar.pulse_amplitude = 0.6;
+  pulsar.duty_cycle = 0.05;
+  pulsar.phase = 0.3;
+  RfiParams mains;
+  mains.period_sec = 1.0 / 60.0;
+  mains.amplitude = 1.5;
+  mains.channel_lo = 0;
+  mains.channel_hi = config.num_channels - 1;
+
+  Md5 md5;
+  SpectrometerModel model(config.num_channels, config.num_samples,
+                          config.sample_time_sec, 77);
+  const DynamicSpectrum spectrum = model.Generate({pulsar}, {mains});
+  md5.Update(spectrum.power.data(), spectrum.power.size() * sizeof(float));
+  const Dedisperser dedisperser(
+      MakeDmTrials(config.dm_max, config.num_dm_trials));
+  for (const TimeSeries& series : dedisperser.DedisperseAll(spectrum)) {
+    md5.Update(&series.dm, sizeof(series.dm));
+    md5.Update(series.samples.data(), series.samples.size() * sizeof(double));
+  }
+
+  SurveyPipeline pipeline(config);
+  int pulsar_beam_detections = 0;
+  for (int pointing = 0; pointing < 8; ++pointing) {
+    std::vector<InjectedPulsar> pulsars;
+    if (pointing == 2 || pointing == 5) {
+      pulsars.push_back(InjectedPulsar{pointing, pulsar});
+    }
+    const PointingResult result =
+        pipeline.ProcessPointing(pointing, pulsars, {mains});
+    for (const Candidate& c : result.detections) {
+      md5.Update(&c.freq_hz, sizeof(c.freq_hz));
+      md5.Update(&c.period_sec, sizeof(c.period_sec));
+      md5.Update(&c.dm, sizeof(c.dm));
+      md5.Update(&c.snr, sizeof(c.snr));
+      md5.Update(&c.harmonics, sizeof(c.harmonics));
+      md5.Update(&c.accel, sizeof(c.accel));
+      md5.Update(&c.beam, sizeof(c.beam));
+      md5.Update(&c.pointing, sizeof(c.pointing));
+      md5.Update(&c.rfi_flag, sizeof(c.rfi_flag));
+      if (!pulsars.empty() && c.beam == pointing) {
+        ++pulsar_beam_detections;
+      }
+    }
+  }
+  // The digest covers real detections, not two empty pointings.
+  EXPECT_GE(pulsar_beam_detections, 2);
+  EXPECT_EQ(md5.HexDigest(), "473b01dddfce797f14751aa5a6f0f4e9");
 }
 
 TEST(VoTableTest, RoundTrip) {

@@ -8,6 +8,7 @@
 
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -72,6 +73,54 @@ TEST(SimdKernels, AddF32ToF64ByteIdentical) {
     std::vector<double> acc(static_cast<size_t>(n), 0.75);
     simd::KernelsFor(isa)->add_f32_to_f64(src.data(), acc.data(), n);
     ExpectBytesEqual(scalar_acc, acc, "add_f32_to_f64", isa);
+  }
+}
+
+TEST(SimdKernels, Add4F32ToF64ByteIdenticalAtEveryLengthAndOffset) {
+  Rng rng(109);
+  // Four rows of one buffer, with signed zeros and infinities mixed in.
+  // The NaN is the one inf - inf gives on this host, so every NaN an add
+  // meets or makes has one encoding, whichever operand order the compiler
+  // picks.
+  const volatile float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, inf, -inf, inf - inf};
+  const int64_t kRow = 64;
+  std::vector<float> rows(4 * kRow);
+  for (auto& x : rows) {
+    x = rng.Bernoulli(0.1)
+            ? specials[rng.Uniform(0, 4)]
+            : static_cast<float>(rng.Normal());
+  }
+  std::vector<double> base(48);
+  for (auto& x : base) {
+    x = rng.Normal() * 4.0;
+  }
+  const KernelTable& scalar = *simd::KernelsFor(Isa::kScalar);
+  for (int64_t row_offset : {0, 1, 3}) {
+    for (int64_t acc_offset : {0, 1, 3}) {
+      for (int64_t n = 0; n <= 37; ++n) {
+        const float* r[4];
+        for (int k = 0; k < 4; ++k) {
+          r[k] = rows.data() + k * kRow + row_offset;
+        }
+        // The reference: four single-row adds, in row order.
+        std::vector<double> ref(base);
+        for (int k = 0; k < 4; ++k) {
+          scalar.add_f32_to_f64(r[k], ref.data() + acc_offset, n);
+        }
+        std::vector<double> acc(base);
+        scalar.add4_f32_to_f64(r[0], r[1], r[2], r[3],
+                               acc.data() + acc_offset, n);
+        ExpectBytesEqual(ref, acc, "add4_f32_to_f64 vs add_f32_to_f64",
+                         Isa::kScalar);
+        for (Isa isa : SupportedVectorTiers()) {
+          std::vector<double> out(base);
+          simd::KernelsFor(isa)->add4_f32_to_f64(
+              r[0], r[1], r[2], r[3], out.data() + acc_offset, n);
+          ExpectBytesEqual(ref, out, "add4_f32_to_f64", isa);
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -60,6 +63,72 @@ TEST(RngTest, UniformSingleton) {
   }
 }
 
+TEST(RngTest, UniformWideRangesStayInRange) {
+  // Ranges wider than INT64_MAX, where hi - lo overflows int64_t.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {kMin, kMax}, {kMin, kMax - 1}, {kMin, 0}, {-1, kMax}};
+  Rng rng(43);
+  for (const auto& [lo, hi] : ranges) {
+    // Draws land on both sides of the midpoint, not just inside the range.
+    const int64_t mid = lo / 2 + hi / 2;
+    int below_mid = 0;
+    int above_mid = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const int64_t v = rng.Uniform(lo, hi);
+      ASSERT_GE(v, lo);
+      ASSERT_LE(v, hi);
+      below_mid += v < mid ? 1 : 0;
+      above_mid += v > mid ? 1 : 0;
+    }
+    EXPECT_GT(below_mid, 400) << lo << ", " << hi;
+    EXPECT_GT(above_mid, 400) << lo << ", " << hi;
+  }
+}
+
+// Uniform() as it was computed in int64_t before wide ranges were fixed.
+// Defined, and the reference, whenever hi - lo fits in int64_t.
+int64_t NarrowUniformReference(Rng& rng, int64_t lo, int64_t hi) {
+  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  if (range == 0) {
+    return static_cast<int64_t>(rng.Next());
+  }
+  uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+  uint64_t value = rng.Next();
+  while (value >= limit) {
+    value = rng.Next();
+  }
+  return lo + static_cast<int64_t>(value % range);
+}
+
+TEST(RngTest, UniformNarrowRangesDrawAsBefore) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng pairs(47);
+  Rng fixed(53), reference(53);
+  int checked = 0;
+  while (checked < 10000) {
+    // Spans below 2^k and lows of magnitude below 2^j, for every k <= 62
+    // and j <= 63, kept where hi = lo + span does not overflow.
+    const int span_bits = static_cast<int>(pairs.Uniform(0, 62));
+    const int lo_bits = static_cast<int>(pairs.Uniform(0, 63));
+    const int64_t span =
+        static_cast<int64_t>((pairs.Next() >> 2) >> (62 - span_bits));
+    int64_t lo = static_cast<int64_t>((pairs.Next() >> 1) >> (63 - lo_bits));
+    if (pairs.Bernoulli(0.5)) {
+      lo = -lo;
+    }
+    if (lo > kMax - span) {
+      continue;
+    }
+    const int64_t hi = lo + span;
+    ASSERT_EQ(fixed.Uniform(lo, hi), NarrowUniformReference(reference, lo, hi))
+        << "[" << lo << ", " << hi << "]";
+    ++checked;
+  }
+  EXPECT_EQ(fixed.Next(), reference.Next());
+}
+
 TEST(RngTest, NormalMomentsMatch) {
   Rng rng(11);
   double sum = 0.0, sum_sq = 0.0;
@@ -73,6 +142,43 @@ TEST(RngTest, NormalMomentsMatch) {
   double var = sum_sq / n - mean * mean;
   EXPECT_NEAR(mean, 10.0, 0.1);
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
+}
+
+TEST(RngTest, FillStandardNormalMatchesNormalCalls) {
+  // Sizes around one and two batches of accepted points, the empty and
+  // tiny cases, and one survey beam (96 channels x 8192 samples).
+  const size_t sizes[] = {0,   1,   2,   3,   127, 128,   129,
+                          255, 256, 257, 96 * 8192};
+  std::vector<float> filled, expected;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    // 0, 1 and 2 Normal() calls before the fill: with and without a spare
+    // pending on entry.
+    for (int prior = 0; prior < 3; ++prior) {
+      for (size_t n : sizes) {
+        Rng fill_rng(seed), call_rng(seed);
+        for (int i = 0; i < prior; ++i) {
+          fill_rng.Normal();
+          call_rng.Normal();
+        }
+        filled.assign(n, -7.0f);
+        fill_rng.FillStandardNormal(filled.data(), n);
+        expected.resize(n);
+        for (float& x : expected) {
+          x = static_cast<float>(call_rng.Normal(0.0, 1.0));
+        }
+        ASSERT_TRUE(n == 0 || std::memcmp(filled.data(), expected.data(),
+                                          n * sizeof(float)) == 0)
+            << "seed " << seed << " prior " << prior << " n " << n;
+        // Same stream position, same spare afterwards.
+        const double after_fill = fill_rng.Normal();
+        const double after_calls = call_rng.Normal();
+        ASSERT_EQ(std::memcmp(&after_fill, &after_calls, sizeof(double)), 0)
+            << "seed " << seed << " prior " << prior << " n " << n;
+        ASSERT_EQ(fill_rng.Next(), call_rng.Next())
+            << "seed " << seed << " prior " << prior << " n " << n;
+      }
+    }
+  }
 }
 
 TEST(RngTest, ExponentialMeanMatchesRate) {
