@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "fault/adapters.h"
 #include "util/byte_buffer.h"
 #include "util/logging.h"
 #include "util/md5.h"
@@ -168,7 +169,6 @@ Status Cluster::Init(const BackendFactory& backends) {
   for (int i = 0; i < config_.num_nodes; ++i) {
     auto node = std::make_unique<Node>();
     node->name = NodeName(i);
-    node->index = i;
     node->trace_tid = kNodeTrackBase + i;
     DFLOW_RETURN_IF_ERROR(map_.AddNode(node->name));
     DFLOW_RETURN_IF_ERROR(backends(i, &node->registry));
@@ -181,6 +181,23 @@ Status Cluster::Init(const BackendFactory& backends) {
     if (config_.tracer != nullptr && config_.tracer->enabled()) {
       config_.tracer->NameTrack(node->trace_tid, "cluster/" + node->name);
     }
+    if (config_.enable_cache) {
+      serve::CacheConfig cache_config;
+      cache_config.capacity_bytes = config_.cache_capacity_bytes;
+      node->cache =
+          std::make_unique<serve::ShardedResponseCache>(cache_config);
+    }
+    serve::ServeConfig serve_config;
+    serve_config.num_workers = config_.workers_per_node;
+    serve_config.max_queue_depth = config_.queue_depth;
+    // No registry: each node's loop counts into its own private one
+    // (NodeServeStats); a shared registry would merge the nodes' counts.
+    serve_config.metrics = nullptr;
+    // With another replica to move on to, a failing backend's requests
+    // fail fast on this node and Execute() walks on to the next replica.
+    serve_config.breaker.enabled = config_.num_nodes > 1;
+    node->loop = std::make_unique<serve::ServeLoop>(
+        &node->registry, serve_config, node->cache.get());
     nodes_.push_back(std::move(node));
   }
   for (const auto& node : nodes_) {
@@ -198,49 +215,7 @@ Status Cluster::Init(const BackendFactory& backends) {
   }
   DFLOW_RETURN_IF_ERROR(topology_->FullMesh());
   reachability_ = topology_->ReachabilityMatrix();
-
-  // Serve loops come up after every registry exists, because breaker
-  // failover wires each node's replica registry to its successor's.
-  for (auto& node : nodes_) {
-    if (config_.enable_cache) {
-      serve::CacheConfig cache_config;
-      cache_config.capacity_bytes = config_.cache_capacity_bytes;
-      node->cache =
-          std::make_unique<serve::ShardedResponseCache>(cache_config);
-    }
-    serve::ServeConfig serve_config;
-    serve_config.num_workers = config_.workers_per_node;
-    serve_config.max_queue_depth = config_.queue_depth;
-    // No registry: each node's loop counts into its own private one
-    // (NodeServeStats); a shared registry would merge the nodes' counts.
-    serve_config.metrics = nullptr;
-    // With a second node to fail over to, a failing backend's requests go
-    // to the successor's registry.
-    serve_config.breaker.enabled = config_.num_nodes > 1;
-    node->loop = std::make_unique<serve::ServeLoop>(
-        &node->registry, serve_config, node->cache.get());
-    if (serve_config.breaker.enabled) {
-      Node* successor = nodes_[(node->index + 1) % nodes_.size()].get();
-      std::set<std::string> prefixes;
-      for (const std::string& endpoint : node->registry.Endpoints()) {
-        prefixes.insert(endpoint.substr(0, endpoint.find('/')));
-      }
-      for (const std::string& prefix : prefixes) {
-        DFLOW_RETURN_IF_ERROR(
-            node->loop->SetReplica(prefix, &successor->registry));
-      }
-    }
-  }
   return Status::OK();
-}
-
-Cluster::~Cluster() {
-  // Drain every loop before any registry dies: node i's breaker may hold a
-  // replica pointer into node i+1's registry, so no loop may still be
-  // dispatching while nodes_ unwinds.
-  for (auto& node : nodes_) {
-    node->loop.reset();
-  }
 }
 
 std::string Cluster::KeyOf(const core::ServiceRequest& request) {
@@ -323,6 +298,13 @@ Result<core::ServiceResponse> Cluster::Execute(
     bool hop = node->name != decision.ingress;
     if (hop && ForwardDropped(key, decision.ingress, node->name, attempt)) {
       forward_drops_->Add(1);
+      if (config_.tracer != nullptr && config_.tracer->enabled()) {
+        config_.tracer->InstantEvent("forward_drop", "cluster",
+                                     {{"key", key},
+                                      {"from", decision.ingress},
+                                      {"attempt", std::to_string(attempt)}},
+                                     node->trace_tid);
+      }
       last_error = Status::IOError("forward to " + node->name + " dropped");
       continue;
     }
@@ -354,8 +336,8 @@ Result<core::ServiceResponse> Cluster::Execute(
     if (response.ok()) {
       return response;
     }
-    // Shed / deadline / backend error: the next replica gets a chance (the
-    // node-level breaker already tried ITS replica registry underneath).
+    // Shed / deadline / backend error (or the node's breaker failing
+    // fast): the next replica gets a chance.
     last_error = response.status();
   }
   failed_->Add(1);
@@ -784,81 +766,29 @@ bool Cluster::IsAlive(const std::string& node_id) const {
 
 Status Cluster::ArmPartitionPlan(const fault::FaultPlan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Validate up front: the handlers CHECK at fire time, so a malformed
-  // target must never get that far.
   for (const fault::FaultEvent& event : plan.events()) {
     if (event.time_sec < partition_sim_.Now()) {
       return Status::OutOfRange("fault event at t=" +
                                 std::to_string(event.time_sec) +
                                 " is behind the partition clock");
     }
-    if (event.kind == fault::FaultKind::kPartition) {
-      if (event.duration_sec <= 0.0) {
-        return Status::InvalidArgument("partition needs a positive duration");
-      }
-      DFLOW_ASSIGN_OR_RETURN(auto groups,
-                             net::Topology::ParseGroups(event.target));
-      for (const auto& group : groups) {
-        for (const std::string& name : group) {
-          if (nodes_by_name_.count(name) == 0) {
-            return Status::InvalidArgument("partition spec names unknown node '" +
-                                           name + "'");
-          }
-        }
-      }
-    } else if (event.kind == fault::FaultKind::kLinkCut) {
-      if (event.duration_sec <= 0.0) {
-        return Status::InvalidArgument("link cut needs a positive duration");
-      }
-      size_t sep = event.target.find("->");
-      if (sep == std::string::npos) {
-        return Status::InvalidArgument("link cut target '" + event.target +
-                                       "' is not of the form a->b");
-      }
-      std::string from = event.target.substr(0, sep);
-      std::string to = event.target.substr(sep + 2);
-      if (nodes_by_name_.count(from) == 0 || nodes_by_name_.count(to) == 0 ||
-          from == to) {
-        return Status::InvalidArgument("link cut target '" + event.target +
-                                       "' does not name a cluster link");
-      }
-    }
   }
-
   auto injector =
       std::make_unique<fault::Injector>(&partition_sim_, plan);
-  net::Topology* topology = topology_.get();
-  std::set<std::pair<fault::FaultKind, std::string>> registered;
-  for (const fault::FaultEvent& event : plan.events()) {
-    if (event.kind != fault::FaultKind::kPartition &&
-        event.kind != fault::FaultKind::kLinkCut) {
-      continue;  // Foreign kinds fire unmatched (logged, counted).
-    }
-    if (!registered.insert({event.kind, event.target}).second) {
-      continue;
-    }
-    if (event.kind == fault::FaultKind::kPartition) {
-      DFLOW_RETURN_IF_ERROR(injector->Register(
-          fault::FaultKind::kPartition, event.target,
-          [topology](const fault::FaultEvent& e) {
-            DFLOW_CHECK_OK(topology->Partition(e.target, e.duration_sec));
-          }));
-    } else {
-      size_t sep = event.target.find("->");
-      std::string from = event.target.substr(0, sep);
-      std::string to = event.target.substr(sep + 2);
-      DFLOW_RETURN_IF_ERROR(injector->Register(
-          fault::FaultKind::kLinkCut, event.target,
-          [topology, from, to](const fault::FaultEvent& e) {
-            DFLOW_CHECK_OK(topology->CutLink(from, to, e.duration_sec));
-          }));
-    }
-    // Both the cut and its heal are reachability boundaries the advance
-    // loop must stop at.
-    partition_boundaries_.push_back(event.time_sec);
-    partition_boundaries_.push_back(event.time_sec + event.duration_sec);
-  }
+  DFLOW_RETURN_IF_ERROR(
+      fault::ArmTopologyPartitions(*injector, topology_.get(), plan));
   DFLOW_RETURN_IF_ERROR(injector->Arm());
+  // Both the cut and its heal are reachability boundaries the advance
+  // loop must stop at, taken from the first event of each target.
+  std::set<std::pair<fault::FaultKind, std::string>> targets;
+  for (const fault::FaultEvent& event : plan.events()) {
+    if ((event.kind == fault::FaultKind::kPartition ||
+         event.kind == fault::FaultKind::kLinkCut) &&
+        targets.insert({event.kind, event.target}).second) {
+      partition_boundaries_.push_back(event.time_sec);
+      partition_boundaries_.push_back(event.time_sec + event.duration_sec);
+    }
+  }
   std::sort(partition_boundaries_.begin(), partition_boundaries_.end());
   // Armed events hold a reference to their injector; keep it alive.
   partition_injectors_.push_back(std::move(injector));

@@ -43,9 +43,9 @@ struct ClusterConfig {
   /// ServiceRegistry — the model is one synchronous service process per
   /// node (per-mount locking), so cluster capacity grows with node count.
   /// With more than one node, every loop runs the recovery tier's circuit
-  /// breaker with the successor node's registry as its replica
-  /// (SetReplica()), so a failing backend on one node fails over to the
-  /// next — the PR 5 machinery, reused per node.
+  /// breaker with no replica registered: a failing backend's requests
+  /// fail fast on that node, and Execute() moves on along the replica
+  /// chain, the cluster's one failover path.
   int workers_per_node = 2;
   size_t queue_depth = 128;
   /// Optional per-node response cache (hits bypass the node's mount lock).
@@ -137,9 +137,10 @@ struct ClusterStats {
 /// Two request paths share the router and the shard map:
 ///   * Execute() — the serve path. Requests are routed to their shard's
 ///     first alive reachable replica and dispatched through that node's
-///     ServeLoop (admission control, per-node cache, breaker failover
-///     included). Backends are mounted identically on every node, so any
-///     replica answers any endpoint.
+///     ServeLoop (admission control, per-node cache, a fail-fast breaker).
+///     An error moves the request on along the replica chain. Backends are
+///     mounted identically on every node, so any replica answers any
+///     endpoint.
 ///   * Put()/Get() — the replicated-state path. A write is stamped with a
 ///     monotonic (epoch, counter, coordinator) version, applied to every
 ///     alive replica the coordinator can reach, and acknowledged iff at
@@ -164,7 +165,6 @@ class Cluster {
  public:
   static Result<std::unique_ptr<Cluster>> Create(ClusterConfig config,
                                                  BackendFactory backends);
-  ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -181,11 +181,13 @@ class Cluster {
   /// Routes `key` under the current map + liveness view.
   Result<RouteDecision> Route(const std::string& key) const;
 
-  /// Serve path (blocking). Walks the replica chain: dead nodes and
-  /// simulated forward drops advance to the next replica; the first
-  /// reachable node's ServeLoop answer (including its errors — breaker
-  /// failover happens inside the node) is the response. ResourceExhausted
-  /// with an empty chain.
+  /// Serve path (blocking). Walks the replica chain from the routed
+  /// target: dead or unreachable nodes, simulated forward drops, and a
+  /// node's ServeLoop error (shed, backend error, open breaker) all
+  /// advance to the next replica. The first OK answer is the response.
+  /// An exhausted chain returns the last error, or ResourceExhausted when
+  /// no replica was alive and reachable. Each drop is a `forward_drop`
+  /// trace instant (key, from, attempt) on the target node's track.
   Result<core::ServiceResponse> Execute(const core::ServiceRequest& request);
 
   /// Replicated-state quorum write. The coordinator (the key's ingress
@@ -230,8 +232,10 @@ class Cluster {
   /// events and stepped deterministically, never from wall clock.
 
   /// Arms every kPartition ("a,b|c,d" group spec) and kLinkCut ("a->b")
-  /// event of `plan` on the partition topology. InvalidArgument on a
-  /// malformed target; events must lie at or after PartitionNow().
+  /// event of `plan` on the partition topology, through
+  /// fault::ArmTopologyPartitions. InvalidArgument on a target that names
+  /// no cluster node or link, or a non-positive duration; OutOfRange on an
+  /// event before PartitionNow(). Either way nothing of the plan is armed.
   Status ArmPartitionPlan(const fault::FaultPlan& plan);
 
   /// Cuts every directed link crossing the group boundary for
@@ -335,7 +339,6 @@ class Cluster {
 
   struct Node {
     std::string name;
-    int index = 0;
     core::ServiceRegistry registry;
     std::unique_ptr<serve::ShardedResponseCache> cache;
     std::atomic<bool> alive{true};

@@ -464,14 +464,22 @@ Result<int64_t> Database::ApplyUpdate(const UpdateStmt& stmt) {
     assignments.emplace_back(idx, expr);
   }
   DFLOW_ASSIGN_OR_RETURN(auto matches, CollectMatches(*table, stmt.where));
-  for (auto& [rid, row] : matches) {
+  // Every new row is computed and checked before the first one applies,
+  // so a bad row fails the statement with no row of it updated.
+  std::vector<Row> new_rows;
+  new_rows.reserve(matches.size());
+  for (const auto& [rid, row] : matches) {
     Row new_row = row;
     for (const auto& [idx, expr] : assignments) {
       DFLOW_ASSIGN_OR_RETURN(Value v, expr->Eval(row));
       new_row[idx] = std::move(v);
     }
     DFLOW_ASSIGN_OR_RETURN(new_row, schema.ValidateRow(std::move(new_row)));
-    DFLOW_RETURN_IF_ERROR(ApplyUpdateRow(table, rid, row, new_row));
+    new_rows.push_back(std::move(new_row));
+  }
+  for (size_t i = 0; i < matches.size(); ++i) {
+    DFLOW_RETURN_IF_ERROR(ApplyUpdateRow(table, matches[i].first,
+                                         matches[i].second, new_rows[i]));
   }
   return static_cast<int64_t>(matches.size());
 }

@@ -22,11 +22,12 @@ struct TopologyConfig {
   uint64_t seed = 42;
 };
 
-/// Named node endpoints joined by directed NetworkLink edges — the wiring
-/// harness the cluster tier's cross-node replay runs over. Links are named
-/// canonically ("a->b"), which is the name fault plans target: generate a
-/// FaultPlanConfig whose `link_targets` lists LinkName(a, b) and
-/// fault::ArmTopology routes its events onto exactly that edge.
+/// Named node endpoints joined by directed NetworkLink edges — the
+/// cluster tier's partition topology. Links are named canonically
+/// ("a->b"), which is the name fault plans target: a kLinkCut event whose
+/// target is LinkName(a, b) cuts exactly that edge once armed through
+/// fault::ArmTopologyPartitions, and fault::ArmNetworkLink binds a single
+/// link's flap and corruption events by the same name.
 ///
 /// Ownership: the topology owns its links (Channel pointers returned by
 /// LinkBetween()/links() are borrows, valid for the topology's lifetime);

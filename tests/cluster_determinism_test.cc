@@ -1,10 +1,9 @@
 // The cluster determinism gate: same seed => byte-identical router
-// decision logs, shard maps, state fingerprints, wire-level replay
-// transcripts, and logical-clock traces, enforced across 1/2/4/8-node
-// configurations — including runs with kills, rejoins, and live shard
-// moves in the history. This is the ctest gate ISSUE 7 requires; a
-// nondeterministic routing or placement change fails here, not in a
-// flaky bench.
+// decision logs, shard maps, state fingerprints, forward-hop transcripts,
+// and logical-clock traces, enforced across 1/2/4/8-node configurations —
+// including runs with kills, rejoins, and live shard moves in the
+// history. A nondeterministic routing, placement or forward-drop change
+// fails here, not in a flaky bench.
 
 #include <map>
 #include <string>
@@ -13,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
-#include "cluster/sim_replay.h"
 #include "core/web_service.h"
 #include "obs/trace.h"
 #include "serve/workload_gen.h"
@@ -46,10 +44,10 @@ BackendFactory EchoBackends() {
   };
 }
 
-/// A seeded Zipf key population shared by every run of a config — the
+/// A seeded Zipf request stream shared by every run of a config — the
 /// workload side of the fingerprint is pinned by WorkloadGen's own
 /// determinism contract.
-std::vector<std::string> WorkloadKeys(uint64_t seed, int n) {
+std::vector<ServiceRequest> WorkloadRequests(uint64_t seed, int n) {
   std::vector<core::ServiceRequest> population;
   for (int i = 0; i < 300; ++i) {
     core::ServiceRequest request;
@@ -57,12 +55,65 @@ std::vector<std::string> WorkloadKeys(uint64_t seed, int n) {
     population.push_back(std::move(request));
   }
   serve::WorkloadGen gen(population, /*zipf_s=*/1.1, seed);
-  std::vector<std::string> keys;
-  keys.reserve(n);
+  std::vector<ServiceRequest> requests;
+  requests.reserve(n);
   for (int i = 0; i < n; ++i) {
-    keys.push_back(Cluster::KeyOf(gen.Next()));
+    requests.push_back(gen.Next());
   }
-  return keys;
+  return requests;
+}
+
+/// Occurrences of `needle` in `haystack`.
+int64_t CountOf(const std::string& haystack, const std::string& needle) {
+  int64_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+/// The forward-hop model's record of one workload: a cluster with lossy
+/// forwards executes it one request at a time, and the transcript holds
+/// each request's outcome, the drop and failure counts, and the logical
+/// trace, whose `forward_drop` instants name every dropped hop.
+struct WireRun {
+  std::string transcript;
+  int64_t forward_drops = 0;
+  int64_t drop_instants = 0;
+};
+
+WireRun ExecuteOverLossyForwards(int num_nodes, uint64_t seed,
+                                 const std::vector<ServiceRequest>& requests) {
+  obs::TracerConfig trace_config;
+  trace_config.clock = obs::TracerConfig::ClockMode::kLogical;
+  obs::Tracer tracer(trace_config);
+
+  ClusterConfig config;
+  config.num_nodes = num_nodes;
+  config.replication_factor = 2;
+  config.seed = seed;
+  config.workers_per_node = 1;
+  config.forward_loss_probability = 0.2;
+  config.tracer = &tracer;
+  auto cluster = Cluster::Create(config, EchoBackends());
+  EXPECT_TRUE(cluster.ok()) << cluster.status().message();
+
+  WireRun run;
+  for (const ServiceRequest& request : requests) {
+    auto response = (*cluster)->Execute(request);
+    run.transcript += request.path + " " +
+                      (response.ok() ? response->body
+                                     : response.status().ToString()) +
+                      "\n";
+  }
+  ClusterStats stats = (*cluster)->Stats();
+  run.forward_drops = stats.forward_drops;
+  std::string trace = tracer.ExportChromeJson();
+  run.drop_instants = CountOf(trace, "\"name\":\"forward_drop\"");
+  run.transcript += "forward_drops=" + std::to_string(stats.forward_drops) +
+                    " failed=" + std::to_string(stats.failed) + "\n" + trace;
+  return run;
 }
 
 /// Everything the gate fingerprints about one serialized run.
@@ -70,14 +121,16 @@ struct RunArtifacts {
   std::string decision_log_md5;
   std::string map_fingerprint;
   std::string state_fingerprint;
-  std::string replay_fingerprint;
+  std::string wire_fingerprint;
+  int64_t wire_drops = 0;
   std::string trace_fingerprint;
   std::string responses_md5;
 };
 
 /// One fully serialized cluster run: route + execute a seeded workload,
 /// apply a deterministic Put history with a kill/rejoin and a shard move
-/// in the middle, then replay the forwards over the simulated wire.
+/// in the middle; then a second cluster with the same seed executes the
+/// workload over lossy forwards.
 RunArtifacts RunOnce(int num_nodes, uint64_t seed) {
   obs::TracerConfig trace_config;
   trace_config.clock = obs::TracerConfig::ClockMode::kLogical;
@@ -96,7 +149,12 @@ RunArtifacts RunOnce(int num_nodes, uint64_t seed) {
   auto cluster = Cluster::Create(config, EchoBackends());
   EXPECT_TRUE(cluster.ok()) << cluster.status().message();
 
-  std::vector<std::string> keys = WorkloadKeys(seed, 400);
+  std::vector<ServiceRequest> workload = WorkloadRequests(seed, 400);
+  std::vector<std::string> keys;
+  keys.reserve(workload.size());
+  for (const ServiceRequest& request : workload) {
+    keys.push_back(Cluster::KeyOf(request));
+  }
 
   Md5 responses;
   for (int i = 0; i < 120; ++i) {
@@ -135,18 +193,16 @@ RunArtifacts RunOnce(int num_nodes, uint64_t seed) {
     move(1, "node" + std::to_string(num_nodes - 1));
   }
 
-  SimReplayConfig replay_config;
-  replay_config.seed = seed;
-  replay_config.link.failure_probability = 0.05;
-  replay_config.link.corruption_probability = 0.05;
-  auto replay = ReplayOverTopology(**cluster, keys, replay_config);
-  EXPECT_TRUE(replay.ok()) << replay.status().message();
+  WireRun wire = ExecuteOverLossyForwards(num_nodes, seed, workload);
+  // Every dropped hop left its instant in the trace.
+  EXPECT_EQ(wire.drop_instants, wire.forward_drops) << num_nodes << " nodes";
 
   RunArtifacts artifacts;
   artifacts.decision_log_md5 = Md5::HexOf((*cluster)->DecisionLog(keys));
   artifacts.map_fingerprint = Md5::HexOf((*cluster)->DescribeMap());
   artifacts.state_fingerprint = (*cluster)->Fingerprint();
-  artifacts.replay_fingerprint = replay->Fingerprint();
+  artifacts.wire_fingerprint = Md5::HexOf(wire.transcript);
+  artifacts.wire_drops = wire.forward_drops;
   artifacts.trace_fingerprint = tracer.Fingerprint();
   artifacts.responses_md5 = responses.HexDigest();
   return artifacts;
@@ -163,11 +219,17 @@ TEST(ClusterDeterminismGate, SameSeedByteIdenticalAcrossNodeCounts) {
         << nodes << "-node shard map drifted between same-seed runs";
     EXPECT_EQ(first.state_fingerprint, second.state_fingerprint)
         << nodes << "-node replicated state drifted between same-seed runs";
-    EXPECT_EQ(first.replay_fingerprint, second.replay_fingerprint)
-        << nodes << "-node wire replay drifted between same-seed runs";
+    EXPECT_EQ(first.wire_fingerprint, second.wire_fingerprint)
+        << nodes << "-node forward-hop transcript drifted between same-seed "
+        << "runs";
     EXPECT_EQ(first.trace_fingerprint, second.trace_fingerprint)
         << nodes << "-node logical trace drifted between same-seed runs";
     EXPECT_EQ(first.responses_md5, second.responses_md5);
+    if (nodes > 1) {
+      // The lossy cluster really dropped hops, so the transcript is not
+      // vacuously comparing loss-free runs.
+      EXPECT_GT(first.wire_drops, 0) << nodes << " nodes";
+    }
     by_nodes[nodes] = first;
   }
   // Responses are invariant under scale-out: growing the cluster changes
@@ -187,7 +249,7 @@ TEST(ClusterDeterminismGate, DifferentSeedsDiverge) {
   RunArtifacts b = RunOnce(4, 2);
   EXPECT_NE(a.decision_log_md5, b.decision_log_md5);
   EXPECT_NE(a.map_fingerprint, b.map_fingerprint);
-  EXPECT_NE(a.replay_fingerprint, b.replay_fingerprint);
+  EXPECT_NE(a.wire_fingerprint, b.wire_fingerprint);
   // Different placement, same answers: responses don't depend on the seed.
   EXPECT_EQ(a.responses_md5, b.responses_md5);
 }

@@ -352,6 +352,55 @@ TEST(ClusterPartitionTest, ArmPlanValidatesTargets) {
   EXPECT_TRUE((*cluster)->ArmPartitionPlan(*cut_plan).IsInvalidArgument());
 }
 
+TEST(ClusterPartitionTest, ArmPlanWithABadTargetArmsNothing) {
+  // A valid partition beside one bad event: the plan is refused whole, so
+  // advancing the clock through the plan's horizon cuts nothing.
+  struct Case {
+    fault::FaultKind kind;
+    std::string target;
+    double mean_duration_sec;
+  };
+  const std::vector<Case> cases = {
+      {fault::FaultKind::kLinkCut, "node0node1", 5.0},    // No "->".
+      {fault::FaultKind::kLinkCut, "node0->node0", 5.0},  // Self link.
+      {fault::FaultKind::kLinkCut, "node0->node9", 5.0},  // Unknown node.
+      {fault::FaultKind::kPartition, "node0|node9", 5.0}, // Unknown node.
+      {fault::FaultKind::kPartition, "node0|node1", 0.0}, // Zero duration.
+      {fault::FaultKind::kLinkCut, "node1->node2", 0.0},  // Zero duration.
+  };
+  for (const Case& bad : cases) {
+    auto cluster = Cluster::Create(MajorityConfig(3, 31), EchoBackends());
+    ASSERT_TRUE(cluster.ok());
+    const std::string matrix = (*cluster)->ReachabilityMatrix();
+
+    fault::FaultPlanConfig plan_config;
+    plan_config.horizon_sec = 100.0;
+    fault::FaultProcess valid;
+    valid.kind = fault::FaultKind::kPartition;
+    valid.target = "node0|node1,node2";
+    valid.rate_per_sec = 0.1;
+    valid.mean_duration_sec = 5.0;
+    fault::FaultProcess invalid;
+    invalid.kind = bad.kind;
+    invalid.target = bad.target;
+    invalid.rate_per_sec = 0.1;
+    invalid.mean_duration_sec = bad.mean_duration_sec;
+    plan_config.processes = {valid, invalid};
+    auto plan = fault::FaultPlan::Generate(4, plan_config);
+    ASSERT_TRUE(plan.ok());
+
+    Status armed = (*cluster)->ArmPartitionPlan(*plan);
+    EXPECT_TRUE(armed.IsInvalidArgument())
+        << bad.target << ": " << armed.ToString();
+    for (double t = 1.0; t <= 101.0; t += 1.0) {
+      ASSERT_TRUE((*cluster)->AdvancePartitionTime(t).ok());
+      ASSERT_EQ((*cluster)->ReachabilityMatrix(), matrix)
+          << bad.target << " at t=" << t;
+    }
+    EXPECT_EQ((*cluster)->Stats().partition_transitions, 0) << bad.target;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Exact accounting for the new failure counter (and its obs mirror).
 

@@ -1,7 +1,7 @@
 // The cluster tier end to end: deterministic routing through per-node
-// serve loops, EventStore run-range sharding, breaker failover across
-// nodes (the PR 5 machinery reused per node), journal-backed kill/rejoin,
-// and live shard rebalancing under concurrent traffic.
+// serve loops, EventStore run-range sharding, failover along the replica
+// chain past a failing backend and a dead node, journal-backed
+// kill/rejoin, and live shard rebalancing under concurrent traffic.
 
 #include <unistd.h>
 
@@ -210,52 +210,62 @@ TEST(ClusterTest, EventStoreRunRangesShardAsUnits) {
   EXPECT_GT(nodes_hit.size(), 1u);  // Ranges spread across the cluster.
 }
 
-TEST(ClusterTest, BreakerFailsOverToSuccessorNode) {
-  // Per-node backends this time: node0's dies, and node0's own serve loop
-  // must fail over to node1's registry through the PR 5 breaker.
+TEST(ClusterTest, FailingBackendFailsOverAlongTheReplicaChain) {
+  // Per-node backends: node1 is killed and node0's backend fails. node0's
+  // breaker only fails fast, so each of node0's requests moves on along
+  // its own replica chain: a live node2 answers, a dead node1 cannot.
   std::vector<std::shared_ptr<TaggedService>> backends;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < 3; ++i) {
     backends.push_back(
         std::make_shared<TaggedService>("node" + std::to_string(i)));
   }
   ClusterConfig config;
-  config.num_nodes = 2;
-  config.replication_factor = 1;  // No chain fallback: the breaker alone
-                                  // must absorb the failure.
+  config.num_nodes = 3;
+  config.replication_factor = 2;
   config.seed = 3;
   auto cluster = Cluster::Create(
       config, [&backends](int node, core::ServiceRegistry* registry) {
         return registry->Mount("svc", backends[node]);
       });
   ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->KillNode("node1").ok());
 
-  // Find keys owned by node0 (replication_factor 1 => chain == {owner}).
-  std::vector<std::string> node0_keys;
-  for (int i = 0; node0_keys.size() < 40 && i < 4000; ++i) {
+  // node0's keys, by the other replica in their chain.
+  std::map<std::string, std::vector<std::string>> by_backup;
+  for (int i = 0; i < 4000; ++i) {
     std::string path = "svc/echo/" + std::to_string(i);
     auto decision = (*cluster)->Route(Cluster::KeyOf(Req(path)));
     ASSERT_TRUE(decision.ok());
-    if (decision->target == "node0") {
-      node0_keys.push_back(path);
+    ASSERT_EQ(decision->chain.size(), 2u);
+    if (decision->chain[0] == "node0" &&
+        by_backup[decision->chain[1]].size() < 30) {
+      by_backup[decision->chain[1]].push_back(path);
     }
   }
-  ASSERT_EQ(node0_keys.size(), 40u);
+  ASSERT_EQ(by_backup["node1"].size(), 30u);
+  ASSERT_EQ(by_backup["node2"].size(), 30u);
 
   backends[0]->SetFailing(true);
-  int node1_tagged = 0;
-  for (const std::string& path : node0_keys) {
-    auto response = (*cluster)->Execute(Req(path));
-    if (response.ok() && response->body.rfind("node1:", 0) == 0) {
-      ++node1_tagged;
+  for (const auto& [backup, paths] : by_backup) {
+    for (const std::string& path : paths) {
+      auto response = (*cluster)->Execute(Req(path));
+      if (backup == "node2") {
+        // The live replica in the key's chain answers.
+        ASSERT_TRUE(response.ok()) << path << ": " << response.status();
+        EXPECT_EQ(response->body.rfind("node2:", 0), 0u) << response->body;
+      } else {
+        // The only other replica is dead: nothing may answer for it.
+        EXPECT_FALSE(response.ok()) << path << " answered "
+                                    << response->body;
+      }
     }
   }
   auto stats = (*cluster)->NodeServeStats("node0");
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->breaker_opened, 1);
-  EXPECT_GT(stats->failover_requests, 0);
-  // Once open, node0 serves node1-tagged responses via the replica
-  // registry — requests keep succeeding with the primary backend dead.
-  EXPECT_GT(node1_tagged, 0);
+  EXPECT_GT(stats->breaker_rejected, 0);
+  EXPECT_EQ(stats->failover_requests, 0);
+  EXPECT_EQ((*cluster)->Stats().failed, 30);
 
   backends[0]->SetFailing(false);
 }

@@ -233,5 +233,32 @@ TEST_F(WalTest, BadSqlInsertRowFailsItsOwnStatement) {
   EXPECT_EQ(rows->rows[0][0].AsInt(), 2);
 }
 
+// A SQL UPDATE computes and checks every new row before it applies any: a
+// bad k-th row fails the statement with rows 1..k-1 untouched, in memory
+// and after reopening.
+TEST_F(WalTest, BadSqlUpdateRowFailsItsWholeStatement) {
+  auto expect_b = [](Database* db, const std::vector<int64_t>& want) {
+    auto rows = db->Execute("SELECT b FROM t ORDER BY b");
+    ASSERT_TRUE(rows.ok()) << rows.status().message();
+    ASSERT_EQ(rows->rows.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(rows->rows[i][0].AsInt(), want[i]) << "row " << i;
+    }
+  };
+  {
+    auto db = Database::Open(path_.string());
+    ASSERT_TRUE((*db)->Execute("CREATE TABLE t (a INT, b INT NOT NULL)").ok());
+    ASSERT_TRUE(
+        (*db)->Execute("INSERT INTO t VALUES (1, 10), (2, 20), (NULL, 30)")
+            .ok());
+    EXPECT_TRUE(
+        (*db)->Execute("UPDATE t SET b = a").status().IsInvalidArgument());
+    expect_b(db->get(), {10, 20, 30});
+  }
+  auto db = Database::Open(path_.string());
+  ASSERT_TRUE(db.ok());
+  expect_b(db->get(), {10, 20, 30});
+}
+
 }  // namespace
 }  // namespace dflow::db

@@ -259,7 +259,7 @@ TEST(TopologyPartitionTest, LinkCutPlanIsStrictlyOneWay) {
   ASSERT_FALSE(plan->empty());
 
   fault::Injector injector(&simulation, *plan);
-  fault::ArmTopologyPartitions(injector, &topology, *plan);
+  ASSERT_TRUE(fault::ArmTopologyPartitions(injector, &topology, *plan).ok());
   ASSERT_TRUE(injector.Arm().ok());
 
   // Probe mid-way through the first cut window: a->b is down, every
@@ -297,6 +297,61 @@ TEST(TopologyPartitionTest, LinkCutPlanIsStrictlyOneWay) {
   simulation.RunUntil(heal + 1.0);
   EXPECT_TRUE(topology.Reachable("a", "b"));
   EXPECT_TRUE(topology.Reachable("b", "a"));
+}
+
+TEST(TopologyPartitionTest, BadPartitionTargetsArmNothing) {
+  // Each plan holds a valid partition beside one bad event. The adapter
+  // checks every event before it registers anything, so the bad one
+  // leaves the valid one unarmed too.
+  struct Case {
+    fault::FaultKind kind;
+    std::string target;
+    double mean_duration_sec;
+  };
+  const std::vector<Case> cases = {
+      {fault::FaultKind::kLinkCut, "a/b", 5.0},      // No "->".
+      {fault::FaultKind::kLinkCut, "a->a", 5.0},     // Self link.
+      {fault::FaultKind::kLinkCut, "a->z", 5.0},     // Unknown node.
+      {fault::FaultKind::kPartition, "a|z", 5.0},    // Unknown node.
+      {fault::FaultKind::kPartition, "a|", 5.0},     // Spec does not parse.
+      {fault::FaultKind::kPartition, "a|b,c", 0.0},  // Zero duration.
+      {fault::FaultKind::kLinkCut, "a->b", 0.0},     // Zero duration.
+  };
+  for (const Case& bad : cases) {
+    sim::Simulation simulation;
+    Topology topology(&simulation);
+    for (const char* node : {"a", "b", "c"}) {
+      ASSERT_TRUE(topology.AddNode(node).ok());
+    }
+    ASSERT_TRUE(topology.FullMesh().ok());
+
+    fault::FaultPlanConfig plan_config;
+    plan_config.horizon_sec = 100.0;
+    fault::FaultProcess valid;
+    valid.kind = fault::FaultKind::kPartition;
+    valid.target = "a|b,c";
+    valid.rate_per_sec = 0.1;
+    valid.mean_duration_sec = 5.0;
+    fault::FaultProcess invalid;
+    invalid.kind = bad.kind;
+    invalid.target = bad.target;
+    invalid.rate_per_sec = 0.1;
+    invalid.mean_duration_sec = bad.mean_duration_sec;
+    plan_config.processes = {valid, invalid};
+    auto plan = fault::FaultPlan::Generate(4, plan_config);
+    ASSERT_TRUE(plan.ok());
+
+    fault::Injector injector(&simulation, *plan);
+    Status armed = fault::ArmTopologyPartitions(injector, &topology, *plan);
+    EXPECT_TRUE(armed.IsInvalidArgument())
+        << bad.target << ": " << armed.ToString();
+    ASSERT_TRUE(injector.Arm().ok());
+    simulation.Run();
+    EXPECT_EQ(injector.injected(), 0) << bad.target;
+    EXPECT_EQ(injector.unmatched(), static_cast<int64_t>(plan->size()));
+    EXPECT_EQ(topology.ReachabilityMatrix().find("down"), std::string::npos)
+        << bad.target;
+  }
 }
 
 }  // namespace
