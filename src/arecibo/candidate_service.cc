@@ -10,17 +10,15 @@ Result<std::unique_ptr<CandidateService>> CandidateService::Create(
   if (db == nullptr) {
     return Status::InvalidArgument("null database");
   }
-  if (db->catalog().Find("candidates") == nullptr) {
-    DFLOW_RETURN_IF_ERROR(db->CreateTable(
-        "candidates", db::Schema({{"pointing", db::Type::kInt64, false},
-                                  {"beam", db::Type::kInt64, false},
-                                  {"freq", db::Type::kDouble, false},
-                                  {"dm", db::Type::kDouble, false},
-                                  {"snr", db::Type::kDouble, false},
-                                  {"rfi", db::Type::kBool, false}})));
-    DFLOW_RETURN_IF_ERROR(
-        db->CreateIndex("candidates_by_pointing", "candidates", "pointing"));
-  }
+  DFLOW_RETURN_IF_ERROR(db->EnsureTable(
+      "candidates", db::Schema({{"pointing", db::Type::kInt64, false},
+                                {"beam", db::Type::kInt64, false},
+                                {"freq", db::Type::kDouble, false},
+                                {"dm", db::Type::kDouble, false},
+                                {"snr", db::Type::kDouble, false},
+                                {"rfi", db::Type::kBool, false}})));
+  DFLOW_RETURN_IF_ERROR(
+      db->EnsureIndex("candidates_by_pointing", "candidates", "pointing"));
   return std::unique_ptr<CandidateService>(new CandidateService(db));
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -778,13 +777,11 @@ Status Cluster::ArmPartitionPlan(const fault::FaultPlan& plan) {
   DFLOW_RETURN_IF_ERROR(
       fault::ArmTopologyPartitions(*injector, topology_.get(), plan));
   DFLOW_RETURN_IF_ERROR(injector->Arm());
-  // Both the cut and its heal are reachability boundaries the advance
-  // loop must stop at, taken from the first event of each target.
-  std::set<std::pair<fault::FaultKind, std::string>> targets;
+  // Every event's cut and heal are reachability boundaries the advance
+  // loop must stop at.
   for (const fault::FaultEvent& event : plan.events()) {
-    if ((event.kind == fault::FaultKind::kPartition ||
-         event.kind == fault::FaultKind::kLinkCut) &&
-        targets.insert({event.kind, event.target}).second) {
+    if (event.kind == fault::FaultKind::kPartition ||
+        event.kind == fault::FaultKind::kLinkCut) {
       partition_boundaries_.push_back(event.time_sec);
       partition_boundaries_.push_back(event.time_sec + event.duration_sec);
     }

@@ -1,7 +1,6 @@
 #include "core/flow_runner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <memory>
@@ -13,11 +12,6 @@
 namespace dflow::core {
 
 namespace {
-
-/// Virtual seconds -> trace microseconds, rounded the same way every run.
-int64_t UsOf(double seconds) {
-  return static_cast<int64_t>(std::llround(seconds * 1e6));
-}
 
 std::string FmtSeconds(double seconds) {
   char buf[32];
@@ -306,8 +300,8 @@ void FlowRunner::Enqueue(const std::string& stage_name, DataProduct product,
                                    : injected_failure ? "injected_error"
                                                       : "error");
       tracer_->CompleteEvent(stage_name, "flow",
-                             UsOf(end_sec - service_time),
-                             UsOf(service_time), std::move(args),
+                             obs::UsOf(end_sec - service_time),
+                             obs::UsOf(service_time), std::move(args),
                              TidFor(stage_name));
     }
     if (!outputs.ok()) {

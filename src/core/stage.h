@@ -2,6 +2,7 @@
 #define DFLOW_CORE_STAGE_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,24 @@ class LambdaStage : public Stage {
  private:
   Fn fn_;
 };
+
+/// Pass-through stage scaling the byte volume by `ratio` and renaming the
+/// product with `suffix`.
+inline std::shared_ptr<LambdaStage> ScalingStage(const std::string& name,
+                                                 StageCosts costs,
+                                                 double ratio,
+                                                 const std::string& suffix) {
+  return std::make_shared<LambdaStage>(
+      name, costs,
+      [ratio, suffix](const DataProduct& in)
+          -> Result<std::vector<DataProduct>> {
+        DataProduct out = in;
+        out.name = in.name + suffix;
+        out.bytes =
+            static_cast<int64_t>(static_cast<double>(in.bytes) * ratio);
+        return std::vector<DataProduct>{std::move(out)};
+      });
+}
 
 }  // namespace dflow::core
 

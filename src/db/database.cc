@@ -427,6 +427,20 @@ Status Database::CreateIndex(std::string index_name, const std::string& table,
                [&] { return ApplyCreateIndex(index_name, table, column); });
 }
 
+Status Database::EnsureTable(std::string name, Schema schema) {
+  return catalog_.Find(name) != nullptr
+             ? Status::OK()
+             : CreateTable(std::move(name), std::move(schema));
+}
+
+Status Database::EnsureIndex(std::string index_name, const std::string& table,
+                             const std::string& column) {
+  DFLOW_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.Get(table));
+  return info->FindIndexOnColumn(column) != nullptr
+             ? Status::OK()
+             : CreateIndex(std::move(index_name), table, column);
+}
+
 Status Database::Insert(const std::string& table, Row row) {
   std::vector<Row> rows;
   rows.push_back(std::move(row));

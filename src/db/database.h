@@ -66,6 +66,12 @@ class Database {
   Status CreateTable(std::string name, Schema schema);
   Status CreateIndex(std::string index_name, const std::string& table,
                      const std::string& column);
+  /// Schema set-up that creates only what is missing: the table unless one
+  /// of that name exists (its schema is not compared), the index unless
+  /// `table` already has one on `column`.
+  Status EnsureTable(std::string name, Schema schema);
+  Status EnsureIndex(std::string index_name, const std::string& table,
+                     const std::string& column);
   Status Insert(const std::string& table, Row row);
   /// Bulk insert of many rows in one transaction; a bad row inserts none.
   Status InsertMany(const std::string& table, std::vector<Row> rows);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -24,97 +25,6 @@ Result<bool> PassesFilter(const ExprPtr& where, const Row& row) {
   }
   DFLOW_ASSIGN_OR_RETURN(Value v, where->Eval(row));
   return IsTrue(v);
-}
-
-/// Index-assisted scan: looks through the conjuncts of `where` for a
-/// predicate usable with one of the table's indexes and returns the
-/// matching (RowId, Row) pairs with the *full* predicate applied.
-Result<std::vector<std::pair<RowId, Row>>> ScanTable(const TableInfo& table,
-                                                     const ExprPtr& where) {
-  std::vector<std::pair<RowId, Row>> out;
-
-  const IndexInfo* chosen_index = nullptr;
-  BinOp op = BinOp::kEq;
-  Value literal;
-  if (where != nullptr) {
-    std::vector<ExprPtr> conjuncts;
-    Expr::SplitConjuncts(where, &conjuncts);
-    for (const ExprPtr& conjunct : conjuncts) {
-      std::string column;
-      BinOp candidate_op;
-      Value candidate_literal;
-      if (!conjunct->MatchSimplePredicate(&column, &candidate_op,
-                                          &candidate_literal)) {
-        continue;
-      }
-      const IndexInfo* index = table.FindIndexOnColumn(column);
-      if (index != nullptr) {
-        chosen_index = index;
-        op = candidate_op;
-        literal = candidate_literal;
-        if (op == BinOp::kEq) {
-          break;  // Equality is the best we can do; stop looking.
-        }
-      }
-    }
-  }
-
-  Status scan_status = Status::OK();
-  auto visit = [&](RowId rid) -> bool {
-    auto row = table.heap->Get(rid);
-    if (!row.ok()) {
-      scan_status = row.status();
-      return false;
-    }
-    auto pass = PassesFilter(where, *row);
-    if (!pass.ok()) {
-      scan_status = pass.status();
-      return false;
-    }
-    if (*pass) {
-      out.emplace_back(rid, *std::move(row));
-    }
-    return true;
-  };
-
-  if (chosen_index != nullptr) {
-    const Value* lo = nullptr;
-    const Value* hi = nullptr;
-    bool lo_inc = true, hi_inc = true;
-    switch (op) {
-      case BinOp::kEq:
-        lo = hi = &literal;
-        break;
-      case BinOp::kLt:
-        hi = &literal;
-        hi_inc = false;
-        break;
-      case BinOp::kLe:
-        hi = &literal;
-        break;
-      case BinOp::kGt:
-        lo = &literal;
-        lo_inc = false;
-        break;
-      case BinOp::kGe:
-        lo = &literal;
-        break;
-      default:
-        break;
-    }
-    chosen_index->tree->Scan(lo, lo_inc, hi, hi_inc,
-                             [&](const Value&, RowId rid) {
-                               return visit(rid);
-                             });
-    DFLOW_RETURN_IF_ERROR(scan_status);
-    return out;
-  }
-
-  DFLOW_RETURN_IF_ERROR(table.heap->ForEach([&](RowId rid, const Row&) {
-    return visit(rid);
-  }));
-  DFLOW_RETURN_IF_ERROR(scan_status);
-  return out;
 }
 
 /// Builds the combined output schema of a join. Columns whose plain names
@@ -215,12 +125,108 @@ std::string ItemName(const SelectItem& item, size_t index) {
 
 }  // namespace
 
+Status ScanTable(const TableInfo& table, const ExprPtr& where,
+                 const RowVisitor& visit) {
+  // Look through the conjuncts of `where` for a predicate one of the
+  // table's indexes can serve; the full predicate still filters each row.
+  const IndexInfo* chosen_index = nullptr;
+  BinOp op = BinOp::kEq;
+  Value literal;
+  if (where != nullptr) {
+    std::vector<ExprPtr> conjuncts;
+    Expr::SplitConjuncts(where, &conjuncts);
+    for (const ExprPtr& conjunct : conjuncts) {
+      std::string column;
+      BinOp candidate_op;
+      Value candidate_literal;
+      if (!conjunct->MatchSimplePredicate(&column, &candidate_op,
+                                          &candidate_literal)) {
+        continue;
+      }
+      const IndexInfo* index = table.FindIndexOnColumn(column);
+      if (index != nullptr) {
+        chosen_index = index;
+        op = candidate_op;
+        literal = candidate_literal;
+        if (op == BinOp::kEq) {
+          break;  // Equality is the best we can do; stop looking.
+        }
+      }
+    }
+  }
+
+  // A row that passes the filter goes to `visit`; a failed read or filter
+  // stops the scan with its status.
+  Status scan_status = Status::OK();
+  auto offer = [&](RowId rid, Row&& row) -> bool {
+    auto pass = PassesFilter(where, row);
+    if (!pass.ok()) {
+      scan_status = pass.status();
+      return false;
+    }
+    return !*pass || visit(rid, std::move(row));
+  };
+
+  if (chosen_index != nullptr) {
+    const Value* lo = nullptr;
+    const Value* hi = nullptr;
+    bool lo_inc = true, hi_inc = true;
+    switch (op) {
+      case BinOp::kEq:
+        lo = hi = &literal;
+        break;
+      case BinOp::kLt:
+        hi = &literal;
+        hi_inc = false;
+        break;
+      case BinOp::kLe:
+        hi = &literal;
+        break;
+      case BinOp::kGt:
+        lo = &literal;
+        lo_inc = false;
+        break;
+      case BinOp::kGe:
+        lo = &literal;
+        break;
+      default:
+        break;
+    }
+    chosen_index->tree->Scan(lo, lo_inc, hi, hi_inc,
+                             [&](const Value&, RowId rid) {
+                               auto row = table.heap->Get(rid);
+                               if (!row.ok()) {
+                                 scan_status = row.status();
+                                 return false;
+                               }
+                               return offer(rid, *std::move(row));
+                             });
+    return scan_status;
+  }
+  DFLOW_RETURN_IF_ERROR(table.heap->ForEach(offer));
+  return scan_status;
+}
+
+Status ScanTable(const TableInfo& table, std::string_view column, Value key,
+                 const RowVisitor& visit) {
+  ExprPtr where =
+      Expr::Binary(BinOp::kEq, Expr::ColumnRef(std::string(column)),
+                   Expr::Literal(std::move(key)));
+  DFLOW_RETURN_IF_ERROR(where->Bind(table.heap->schema()));
+  return ScanTable(table, where, visit);
+}
+
 Result<std::vector<std::pair<RowId, Row>>> CollectMatches(
     const TableInfo& table, const ExprPtr& where) {
   if (where != nullptr) {
     DFLOW_RETURN_IF_ERROR(where->Bind(table.heap->schema()));
   }
-  return ScanTable(table, where);
+  std::vector<std::pair<RowId, Row>> matches;
+  DFLOW_RETURN_IF_ERROR(ScanTable(table, where, [&](RowId rid, Row&& row) {
+    matches.emplace_back(rid, std::move(row));
+    return true;
+  }));
+  return matches;
 }
 
 Result<QueryResult> ExecuteSelect(const Catalog& catalog,
@@ -229,17 +235,19 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
 
   Schema input_schema = left->heap->schema();
   std::vector<Row> input_rows;
+  auto keep_in = [](std::vector<Row>* rows) -> RowVisitor {
+    return [rows](RowId, Row&& row) {
+      rows->push_back(std::move(row));
+      return true;
+    };
+  };
 
   if (!stmt.join.has_value()) {
     ExprPtr where = stmt.where;
     if (where != nullptr) {
       DFLOW_RETURN_IF_ERROR(where->Bind(input_schema));
     }
-    DFLOW_ASSIGN_OR_RETURN(auto matches, ScanTable(*left, where));
-    input_rows.reserve(matches.size());
-    for (auto& [rid, row] : matches) {
-      input_rows.push_back(std::move(row));
-    }
+    DFLOW_RETURN_IF_ERROR(ScanTable(*left, where, keep_in(&input_rows)));
   } else {
     DFLOW_ASSIGN_OR_RETURN(TableInfo * right, catalog.Get(stmt.join->table));
     input_schema = JoinSchema(*left, *right);
@@ -255,13 +263,14 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
 
     // Index-nested-loop when the ON clause is an equi-join and the inner
     // (right) join column is indexed; otherwise plain nested loop.
-    DFLOW_ASSIGN_OR_RETURN(auto left_rows, ScanTable(*left, nullptr));
+    std::vector<Row> left_rows;
+    DFLOW_RETURN_IF_ERROR(ScanTable(*left, nullptr, keep_in(&left_rows)));
 
     // Probe for the INL opportunity: `a = b` over two bound column refs,
     // one on each side of the join (positions below/above left_width in
     // the combined schema), with the right column indexed.
     size_t left_width = left->heap->schema().NumColumns();
-    const IndexInfo* probe_index = nullptr;
+    const std::string* probe_column = nullptr;
     size_t left_key_index = 0;
     {
       auto [bound_a, bound_b] = on->EquiJoinBoundIndexes();
@@ -279,8 +288,11 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
       }
       if (left_bound >= 0) {
         size_t right_pos = static_cast<size_t>(right_bound) - left_width;
-        probe_index = right->FindIndexOnColumn(
-            right->heap->schema().ColumnAt(right_pos).name);
+        const std::string& name =
+            right->heap->schema().ColumnAt(right_pos).name;
+        if (right->FindIndexOnColumn(name) != nullptr) {
+          probe_column = &name;
+        }
         left_key_index = static_cast<size_t>(left_bound);
       }
     }
@@ -300,17 +312,22 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
       return Status::OK();
     };
 
-    if (probe_index != nullptr) {
-      for (auto& [lrid, lrow] : left_rows) {
-        for (RowId rrid : probe_index->tree->Find(lrow[left_key_index])) {
-          DFLOW_ASSIGN_OR_RETURN(Row rrow, right->heap->Get(rrid));
-          DFLOW_RETURN_IF_ERROR(emit(lrow, rrow));
-        }
+    if (probe_column != nullptr) {
+      Status emitted = Status::OK();
+      for (const Row& lrow : left_rows) {
+        DFLOW_RETURN_IF_ERROR(ScanTable(*right, *probe_column,
+                                        lrow[left_key_index],
+                                        [&](RowId, Row&& rrow) {
+                                          emitted = emit(lrow, rrow);
+                                          return emitted.ok();
+                                        }));
+        DFLOW_RETURN_IF_ERROR(emitted);
       }
     } else {
-      DFLOW_ASSIGN_OR_RETURN(auto right_rows, ScanTable(*right, nullptr));
-      for (auto& [lrid, lrow] : left_rows) {
-        for (auto& [rrid, rrow] : right_rows) {
+      std::vector<Row> right_rows;
+      DFLOW_RETURN_IF_ERROR(ScanTable(*right, nullptr, keep_in(&right_rows)));
+      for (const Row& lrow : left_rows) {
+        for (const Row& rrow : right_rows) {
           DFLOW_RETURN_IF_ERROR(emit(lrow, rrow));
         }
       }
@@ -327,6 +344,21 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
 
   QueryResult result;
   std::vector<Row> output_rows;
+  // With ORDER BY, one sort key per output row; one stable sort below.
+  std::vector<Row> sort_keys;
+  auto add_sort_key = [&](const Row& row) -> Status {
+    if (stmt.order_by.empty()) {
+      return Status::OK();
+    }
+    Row key;
+    key.reserve(stmt.order_by.size());
+    for (const OrderByItem& item : stmt.order_by) {
+      DFLOW_ASSIGN_OR_RETURN(Value v, item.expr->Eval(row));
+      key.push_back(std::move(v));
+    }
+    sort_keys.push_back(std::move(key));
+    return Status::OK();
+  };
 
   if (has_agg) {
     for (const ExprPtr& e : stmt.group_by) {
@@ -340,27 +372,22 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
         DFLOW_RETURN_IF_ERROR(item.expr->Bind(input_schema));
       }
     }
-    // Group rows. Key = group-by values; keep insertion order for output
-    // determinism (ordered map on encoded key).
+    // Group rows. Key = encoded group-by values; the ordered map gives
+    // the groups in encoded-key order, the same on every run.
     struct Group {
-      Row key;
       Row first_row;
       std::vector<AggState> aggs;
     };
     std::map<std::string, Group> groups;
     for (const Row& row : input_rows) {
       ByteWriter key_writer;
-      Row key;
-      key.reserve(stmt.group_by.size());
       for (const ExprPtr& e : stmt.group_by) {
         DFLOW_ASSIGN_OR_RETURN(Value v, e->Eval(row));
         v.EncodeTo(key_writer);
-        key.push_back(std::move(v));
       }
       auto [it, inserted] = groups.try_emplace(key_writer.Take());
       Group& group = it->second;
       if (inserted) {
-        group.key = std::move(key);
         group.first_row = row;
         group.aggs.resize(stmt.items.size());
       }
@@ -410,6 +437,33 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
     for (size_t i = 0; i < stmt.items.size(); ++i) {
       result.columns.push_back(ItemName(stmt.items[i], i));
     }
+
+    // HAVING filters the aggregated groups. It and ORDER BY bind against
+    // the output columns (aliases and derived aggregate names), and the
+    // sort keys come from the output rows.
+    std::vector<Column> out_columns;
+    for (const std::string& name : result.columns) {
+      out_columns.push_back(Column{name, Type::kString, true});
+    }
+    Schema out_schema(std::move(out_columns));
+    if (stmt.having != nullptr) {
+      DFLOW_RETURN_IF_ERROR(stmt.having->Bind(out_schema));
+      std::vector<Row> kept;
+      kept.reserve(output_rows.size());
+      for (Row& row : output_rows) {
+        DFLOW_ASSIGN_OR_RETURN(Value verdict, stmt.having->Eval(row));
+        if (IsTrue(verdict)) {
+          kept.push_back(std::move(row));
+        }
+      }
+      output_rows = std::move(kept);
+    }
+    for (const OrderByItem& item : stmt.order_by) {
+      DFLOW_RETURN_IF_ERROR(item.expr->Bind(out_schema));
+    }
+    for (const Row& row : output_rows) {
+      DFLOW_RETURN_IF_ERROR(add_sort_key(row));
+    }
   } else {
     // Plain projection.
     std::vector<ExprPtr> projections;
@@ -427,18 +481,12 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
       result.columns.push_back(ItemName(item, projections.size()));
       projections.push_back(item.expr);
     }
-    output_rows.reserve(input_rows.size());
-
-    // ORDER BY keys are computed against the *input* row (so you can order
-    // by columns you did not project).
-    std::vector<ExprPtr> order_exprs;
+    // The sort keys come from the *input* row (so you can order by columns
+    // you did not project).
     for (const OrderByItem& item : stmt.order_by) {
       DFLOW_RETURN_IF_ERROR(item.expr->Bind(input_schema));
-      order_exprs.push_back(item.expr);
     }
-
-    std::vector<std::pair<Row, Row>> keyed;  // (sort key, output row)
-    keyed.reserve(input_rows.size());
+    output_rows.reserve(input_rows.size());
     for (const Row& row : input_rows) {
       Row out;
       out.reserve(projections.size());
@@ -446,91 +494,32 @@ Result<QueryResult> ExecuteSelect(const Catalog& catalog,
         DFLOW_ASSIGN_OR_RETURN(Value v, e->Eval(row));
         out.push_back(std::move(v));
       }
-      Row key;
-      key.reserve(order_exprs.size());
-      for (const ExprPtr& e : order_exprs) {
-        DFLOW_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-        key.push_back(std::move(v));
-      }
-      keyed.emplace_back(std::move(key), std::move(out));
+      output_rows.push_back(std::move(out));
+      DFLOW_RETURN_IF_ERROR(add_sort_key(row));
     }
-    if (!stmt.order_by.empty()) {
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [&stmt](const auto& a, const auto& b) {
-                         for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-                           int c = a.first[i].Compare(b.first[i]);
-                           if (c != 0) {
-                             return stmt.order_by[i].descending ? c > 0
-                                                                : c < 0;
-                           }
-                         }
-                         return false;
-                       });
-    }
-    for (auto& [key, row] : keyed) {
-      output_rows.push_back(std::move(row));
-    }
-  }
-
-  // HAVING filters the aggregated groups; it binds against the output
-  // columns (aliases and derived aggregate names).
-  if (stmt.having != nullptr) {
-    if (!has_agg) {
+    if (stmt.having != nullptr) {
       return Status::InvalidArgument("HAVING requires aggregation");
     }
-    std::vector<Column> out_columns;
-    for (const std::string& name : result.columns) {
-      out_columns.push_back(Column{name, Type::kString, true});
-    }
-    Schema out_schema(std::move(out_columns));
-    DFLOW_RETURN_IF_ERROR(stmt.having->Bind(out_schema));
-    std::vector<Row> kept;
-    kept.reserve(output_rows.size());
-    for (Row& row : output_rows) {
-      DFLOW_ASSIGN_OR_RETURN(Value verdict, stmt.having->Eval(row));
-      if (IsTrue(verdict)) {
-        kept.push_back(std::move(row));
-      }
-    }
-    output_rows = std::move(kept);
   }
 
-  // ORDER BY after aggregation binds against the output schema.
-  if (has_agg && !stmt.order_by.empty()) {
-    std::vector<Column> out_columns;
-    for (const std::string& name : result.columns) {
-      out_columns.push_back(Column{name, Type::kString, true});
-    }
-    Schema out_schema(std::move(out_columns));
-    std::vector<ExprPtr> order_exprs;
-    for (const OrderByItem& item : stmt.order_by) {
-      DFLOW_RETURN_IF_ERROR(item.expr->Bind(out_schema));
-      order_exprs.push_back(item.expr);
-    }
-    std::vector<std::pair<Row, Row>> keyed;
-    keyed.reserve(output_rows.size());
-    for (Row& row : output_rows) {
-      Row key;
-      for (const ExprPtr& e : order_exprs) {
-        DFLOW_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-        key.push_back(std::move(v));
+  if (!stmt.order_by.empty()) {
+    std::vector<size_t> order(output_rows.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (size_t i = 0; i < stmt.order_by.size(); ++i) {
+        int c = sort_keys[a][i].Compare(sort_keys[b][i]);
+        if (c != 0) {
+          return stmt.order_by[i].descending ? c > 0 : c < 0;
+        }
       }
-      keyed.emplace_back(std::move(key), std::move(row));
+      return false;
+    });
+    std::vector<Row> sorted;
+    sorted.reserve(order.size());
+    for (size_t i : order) {
+      sorted.push_back(std::move(output_rows[i]));
     }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&stmt](const auto& a, const auto& b) {
-                       for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-                         int c = a.first[i].Compare(b.first[i]);
-                         if (c != 0) {
-                           return stmt.order_by[i].descending ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-    output_rows.clear();
-    for (auto& [key, row] : keyed) {
-      output_rows.push_back(std::move(row));
-    }
+    output_rows = std::move(sorted);
   }
 
   // DISTINCT: drop duplicate output rows, keeping first occurrence (so it

@@ -1,7 +1,9 @@
 #ifndef DFLOW_DB_EXECUTOR_H_
 #define DFLOW_DB_EXECUTOR_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/catalog.h"
@@ -21,17 +23,31 @@ struct QueryResult {
   std::string ToString() const;
 };
 
-/// Executes a SELECT against the catalog. The planner is deliberately
-/// small: it uses a B+Tree index scan when a top-level AND conjunct is
-/// `indexed_column <op> literal`, and falls back to a sequential scan
-/// otherwise; joins are index-nested-loop when the inner join key is
-/// indexed, else nested-loop.
+/// Receives each row a scan yields, decoded once and handed over to keep;
+/// returns false to stop the scan.
+using RowVisitor = std::function<bool(RowId, Row&&)>;
+
+/// The one read path into a table: hands `visit` each row of `table` that
+/// passes `where` (null = every row; bound to the table's schema). When a
+/// top-level AND conjunct is `indexed_column <op> literal` the rows come
+/// through that B+Tree in key order; otherwise the heap is walked in
+/// physical order, pinning each page once.
+Status ScanTable(const TableInfo& table, const ExprPtr& where,
+                 const RowVisitor& visit);
+
+/// The equality form: the rows whose `column` equals `key` (SQL `=`, so a
+/// NULL key matches nothing), through the column's index when it has one.
+Status ScanTable(const TableInfo& table, std::string_view column, Value key,
+                 const RowVisitor& visit);
+
+/// Executes a SELECT against the catalog. Both inputs of a join, like a
+/// one-table query, are read through ScanTable; joins are
+/// index-nested-loop when the inner join key is indexed, else nested-loop.
 Result<QueryResult> ExecuteSelect(const Catalog& catalog,
                                   const SelectStmt& stmt);
 
-/// Internal helper shared with Database's UPDATE/DELETE paths: collects the
-/// RowIds (and rows) of `table` matching `where` (null = all), using an
-/// index when possible.
+/// Database's UPDATE/DELETE step: binds `where` (null = all) and collects
+/// the RowIds and rows of `table` that match, through ScanTable.
 Result<std::vector<std::pair<RowId, Row>>> CollectMatches(
     const TableInfo& table, const ExprPtr& where);
 

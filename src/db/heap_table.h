@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "db/buffer_pool.h"
@@ -67,8 +68,9 @@ class HeapTable {
 
   BufferPool* pool() const { return pool_; }
 
-  /// Calls fn(RowId, const Row&) for every live row in physical order;
-  /// stops early if fn returns false. Pins one page at a time.
+  /// Calls fn(RowId, Row&&) for every live row in physical order, each
+  /// decoded once and handed over; stops early if fn returns false. Pins
+  /// each page once.
   template <typename Fn>
   Status ForEach(Fn&& fn) const {
     for (uint32_t p = 0; p < page_ids_.size(); ++p) {
@@ -81,7 +83,7 @@ class HeapTable {
         }
         ByteReader reader(*record);
         DFLOW_ASSIGN_OR_RETURN(Row row, DecodeRow(reader));
-        if (!fn(RowId{p, s}, row)) {
+        if (!fn(RowId{p, s}, std::move(row))) {
           return Status::OK();
         }
       }

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "util/byte_buffer.h"
-#include "util/logging.h"
 
 namespace dflow::eventstore {
 
@@ -71,15 +70,12 @@ Result<std::unique_ptr<EventStore>> EventStore::Create(
 }
 
 Status EventStore::InitSchema() {
-  if (db_->catalog().Find("files") != nullptr) {
-    return Status::OK();  // Recovered from WAL.
-  }
-  DFLOW_RETURN_IF_ERROR(db_->CreateTable("files", FilesSchema()));
-  DFLOW_RETURN_IF_ERROR(db_->CreateTable("grades", GradesSchema()));
-  DFLOW_RETURN_IF_ERROR(db_->CreateIndex("files_by_run", "files", "run"));
-  DFLOW_RETURN_IF_ERROR(
-      db_->CreateIndex("grades_by_grade", "grades", "grade"));
-  return Status::OK();
+  // Each DDL statement commits on its own, so a store killed during its
+  // first open recovers only part of the schema: create what is missing.
+  DFLOW_RETURN_IF_ERROR(db_->EnsureTable("files", FilesSchema()));
+  DFLOW_RETURN_IF_ERROR(db_->EnsureTable("grades", GradesSchema()));
+  DFLOW_RETURN_IF_ERROR(db_->EnsureIndex("files_by_run", "files", "run"));
+  return db_->EnsureIndex("grades_by_grade", "grades", "grade");
 }
 
 Status EventStore::RegisterFile(const FileEntry& entry) {
@@ -117,13 +113,13 @@ Result<FileEntry> EventStore::RowToFile(const db::Row& row) {
 }
 
 Result<std::vector<FileEntry>> EventStore::AllFiles() const {
-  auto table = db_->catalog().Get("files");
-  DFLOW_RETURN_IF_ERROR(table.status());
+  DFLOW_ASSIGN_OR_RETURN(const db::TableInfo* table,
+                         db_->catalog().Get("files"));
   std::vector<FileEntry> out;
-  out.reserve(static_cast<size_t>((*table)->heap->num_rows()));
+  out.reserve(static_cast<size_t>(table->heap->num_rows()));
   Status scan = Status::OK();
   DFLOW_RETURN_IF_ERROR(
-      (*table)->heap->ForEach([&](db::RowId, const db::Row& row) {
+      db::ScanTable(*table, nullptr, [&](db::RowId, db::Row&& row) {
         auto entry = RowToFile(row);
         if (!entry.ok()) {
           scan = entry.status();
@@ -139,19 +135,21 @@ Result<std::vector<FileEntry>> EventStore::AllFiles() const {
 Result<FileEntry> EventStore::GetFile(int64_t run,
                                       const std::string& data_type,
                                       const std::string& version) const {
-  auto table = db_->catalog().Get("files");
-  DFLOW_RETURN_IF_ERROR(table.status());
-  // Narrow by the run index, then match the remaining key fields.
-  const db::IndexInfo* index = (*table)->FindIndexOnColumn("run");
-  DFLOW_CHECK(index != nullptr);
-  for (db::RowId rid : index->tree->Find(db::Value::Int(run))) {
-    DFLOW_ASSIGN_OR_RETURN(db::Row row, (*table)->heap->Get(rid));
-    if (row[1].AsString() == data_type && row[2].AsString() == version) {
-      return RowToFile(row);
-    }
-  }
-  return Status::NotFound("no file (run=" + std::to_string(run) + ", " +
-                          data_type + ", " + version + ")");
+  DFLOW_ASSIGN_OR_RETURN(const db::TableInfo* table,
+                         db_->catalog().Get("files"));
+  // Narrow by run, then match the remaining key fields.
+  Result<FileEntry> found = Status::NotFound(
+      "no file (run=" + std::to_string(run) + ", " + data_type + ", " +
+      version + ")");
+  DFLOW_RETURN_IF_ERROR(db::ScanTable(
+      *table, "run", db::Value::Int(run), [&](db::RowId, db::Row&& row) {
+        if (row[1].AsString() != data_type || row[2].AsString() != version) {
+          return true;
+        }
+        found = RowToFile(row);
+        return false;
+      }));
+  return found;
 }
 
 std::vector<std::string> EventStore::Versions(
@@ -161,13 +159,14 @@ std::vector<std::string> EventStore::Versions(
   if (!table.ok()) {
     return {};
   }
-  const db::IndexInfo* index = (*table)->FindIndexOnColumn("run");
-  for (db::RowId rid : index->tree->Find(db::Value::Int(run))) {
-    auto row = (*table)->heap->Get(rid);
-    if (row.ok() && (*row)[1].AsString() == data_type) {
-      found.emplace_back((*row)[3].AsInt(), (*row)[2].AsString());
-    }
-  }
+  // A read error ends the scan; the versions found before it are kept.
+  (void)db::ScanTable(
+      **table, "run", db::Value::Int(run), [&](db::RowId, db::Row&& row) {
+        if (row[1].AsString() == data_type) {
+          found.emplace_back(row[3].AsInt(), row[2].AsString());
+        }
+        return true;
+      });
   std::sort(found.begin(), found.end());
   std::vector<std::string> versions;
   versions.reserve(found.size());
@@ -192,20 +191,17 @@ Status EventStore::AssignGrade(const std::string& grade, int64_t timestamp,
 
 Result<std::vector<EventStore::GradeRow>> EventStore::GradeRows(
     const std::string& grade) const {
-  auto table = db_->catalog().Get("grades");
-  DFLOW_RETURN_IF_ERROR(table.status());
+  DFLOW_ASSIGN_OR_RETURN(const db::TableInfo* table,
+                         db_->catalog().Get("grades"));
   std::vector<GradeRow> out;
-  const db::IndexInfo* index = (*table)->FindIndexOnColumn("grade");
-  DFLOW_CHECK(index != nullptr);
-  for (db::RowId rid : index->tree->Find(db::Value::String(grade))) {
-    DFLOW_ASSIGN_OR_RETURN(db::Row row, (*table)->heap->Get(rid));
-    GradeRow grade_row;
-    grade_row.ts = row[1].AsInt();
-    grade_row.range = RunRange{row[2].AsInt(), row[3].AsInt()};
-    grade_row.data_type = row[4].AsString();
-    grade_row.version = row[5].AsString();
-    out.push_back(std::move(grade_row));
-  }
+  DFLOW_RETURN_IF_ERROR(db::ScanTable(
+      *table, "grade", db::Value::String(grade),
+      [&](db::RowId, db::Row&& row) {
+        out.push_back(GradeRow{row[1].AsInt(),
+                               RunRange{row[2].AsInt(), row[3].AsInt()},
+                               row[4].AsString(), row[5].AsString()});
+        return true;
+      }));
   return out;
 }
 
@@ -232,11 +228,11 @@ std::vector<std::string> EventStore::GradeNames() const {
   if (!table.ok()) {
     return {};
   }
-  Status s = (*table)->heap->ForEach([&](db::RowId, const db::Row& row) {
+  // A read error ends the scan; the names found before it are kept.
+  (void)db::ScanTable(**table, nullptr, [&](db::RowId, db::Row&& row) {
     names.insert(row[0].AsString());
     return true;
   });
-  (void)s;
   return std::vector<std::string>(names.begin(), names.end());
 }
 
@@ -311,25 +307,24 @@ Result<std::vector<FileEntry>> EventStore::Resolve(const std::string& grade,
 
 Status EventStore::Merge(const EventStore& other) {
   DFLOW_ASSIGN_OR_RETURN(std::vector<FileEntry> incoming, other.AllFiles());
-  // Gather grade rows of every grade in `other`.
-  auto grades_table = other.db_->catalog().Get("grades");
-  DFLOW_RETURN_IF_ERROR(grades_table.status());
-  std::vector<db::Row> incoming_grades;
-  DFLOW_RETURN_IF_ERROR(
-      (*grades_table)->heap->ForEach([&](db::RowId, const db::Row& row) {
-        incoming_grades.push_back(row);
-        return true;
-      }));
-
-  // Snapshot existing grade rows for duplicate suppression.
-  auto own_grades = db_->catalog().Get("grades");
-  DFLOW_RETURN_IF_ERROR(own_grades.status());
-  std::vector<db::Row> existing_grades;
-  DFLOW_RETURN_IF_ERROR(
-      (*own_grades)->heap->ForEach([&](db::RowId, const db::Row& row) {
-        existing_grades.push_back(row);
-        return true;
-      }));
+  // Gather grade rows of every grade in `other`, and snapshot the
+  // existing ones for duplicate suppression.
+  auto all_grades =
+      [](const db::Database& db) -> Result<std::vector<db::Row>> {
+    DFLOW_ASSIGN_OR_RETURN(const db::TableInfo* table,
+                           db.catalog().Get("grades"));
+    std::vector<db::Row> rows;
+    DFLOW_RETURN_IF_ERROR(
+        db::ScanTable(*table, nullptr, [&](db::RowId, db::Row&& row) {
+          rows.push_back(std::move(row));
+          return true;
+        }));
+    return rows;
+  };
+  DFLOW_ASSIGN_OR_RETURN(std::vector<db::Row> incoming_grades,
+                         all_grades(*other.db_));
+  DFLOW_ASSIGN_OR_RETURN(std::vector<db::Row> existing_grades,
+                         all_grades(*db_));
   auto same_row = [](const db::Row& a, const db::Row& b) {
     if (a.size() != b.size()) {
       return false;
@@ -399,11 +394,11 @@ int64_t EventStore::TotalBytes() const {
     return 0;
   }
   int64_t total = 0;
-  Status s = (*table)->heap->ForEach([&](db::RowId, const db::Row& row) {
+  // A read error ends the scan; the bytes summed before it are kept.
+  (void)db::ScanTable(**table, nullptr, [&](db::RowId, db::Row&& row) {
     total += row[4].AsInt();
     return true;
   });
-  (void)s;
   return total;
 }
 

@@ -8,28 +8,9 @@
 
 namespace dflow::eventstore {
 
-namespace {
-
 using core::DataProduct;
-using core::LambdaStage;
+using core::ScalingStage;
 using core::StageCosts;
-
-std::shared_ptr<LambdaStage> ScalingStage(const std::string& name,
-                                          StageCosts costs, double ratio,
-                                          const std::string& suffix) {
-  return std::make_shared<LambdaStage>(
-      name, costs,
-      [ratio, suffix](const DataProduct& in)
-          -> dflow::Result<std::vector<DataProduct>> {
-        DataProduct out = in;
-        out.name = in.name + suffix;
-        out.bytes =
-            static_cast<int64_t>(static_cast<double>(in.bytes) * ratio);
-        return std::vector<DataProduct>{std::move(out)};
-      });
-}
-
-}  // namespace
 
 Status BuildCleoFlow(const CleoFlowConfig& config, core::FlowGraph* graph) {
   using S = CleoFlowStages;

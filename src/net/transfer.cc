@@ -1,6 +1,5 @@
 #include "net/transfer.h"
 
-#include <cmath>
 #include <utility>
 
 #include "util/crc32.h"
@@ -9,11 +8,6 @@
 namespace dflow::net {
 
 namespace {
-
-/// Virtual seconds -> trace microseconds.
-int64_t UsOf(double seconds) {
-  return static_cast<int64_t>(std::llround(seconds * 1e6));
-}
 
 const char* OutcomeLabel(DeliveryOutcome outcome, bool verified) {
   switch (outcome) {
@@ -150,8 +144,8 @@ void TransferScheduler::SendOne(TransferItem item, int attempt) {
           // One span per attempt: the channel latency of this send.
           double end_sec = simulation_->Now();
           tracer->CompleteEvent(
-              "net.transfer", "net", UsOf(send_sec),
-              UsOf(end_sec - send_sec),
+              "net.transfer", "net", obs::UsOf(send_sec),
+              obs::UsOf(end_sec - send_sec),
               {{"name", delivered.name},
                {"attempt", std::to_string(attempt)},
                {"bytes", std::to_string(delivered.bytes)},

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <cmath>
-
 #include "util/md5.h"
 #include "util/strings.h"
 
@@ -21,10 +19,8 @@ int64_t Tracer::NowUs() {
     case TracerConfig::ClockMode::kLogical:
       return logical_clock_us_.fetch_add(1, std::memory_order_relaxed);
     case TracerConfig::ClockMode::kExternal:
-      return config_.external_now_sec
-                 ? static_cast<int64_t>(
-                       std::llround(config_.external_now_sec() * 1e6))
-                 : 0;
+      return config_.external_now_sec ? UsOf(config_.external_now_sec())
+                                      : 0;
   }
   return 0;
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -13,6 +14,12 @@
 #include <vector>
 
 namespace dflow::obs {
+
+/// Seconds -> trace microseconds, rounded the same way every run: the one
+/// conversion for virtual-time spans and the kExternal clock.
+inline int64_t UsOf(double seconds) {
+  return static_cast<int64_t>(std::llround(seconds * 1e6));
+}
 
 /// Key/value annotations attached to a trace event ("product", "attempt",
 /// "outcome", ...). Values are emitted as JSON strings.

@@ -1,21 +1,11 @@
 #include "recover/scrubber.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace dflow::recover {
-
-namespace {
-
-/// Virtual seconds -> trace microseconds.
-int64_t UsOf(double seconds) {
-  return static_cast<int64_t>(std::llround(seconds * 1e6));
-}
-
-}  // namespace
 
 Scrubber::Scrubber(sim::Simulation* simulation, storage::TapeLibrary* primary,
                    storage::TapeLibrary* replica, ScrubberConfig config)
@@ -87,7 +77,7 @@ void Scrubber::RunCycle() {
     ++scanned_this_cycle;
   }
   if (obs::Tracer* tracer = ActiveTracer()) {
-    tracer->CompleteEvent("scrub.cycle", "recover", UsOf(cycle_start), 0,
+    tracer->CompleteEvent("scrub.cycle", "recover", obs::UsOf(cycle_start), 0,
                           {{"files", std::to_string(scanned_this_cycle)},
                            {"cursor", std::to_string(cursor_)}});
   }

@@ -1,21 +1,11 @@
 #include "storage/hsm.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace dflow::storage {
-
-namespace {
-
-/// Virtual seconds -> trace microseconds.
-int64_t UsOf(double seconds) {
-  return static_cast<int64_t>(std::llround(seconds * 1e6));
-}
-
-}  // namespace
 
 HsmCache::HsmCache(sim::Simulation* simulation, DiskVolume* cache_disk,
                    TapeLibrary* tape)
@@ -113,8 +103,8 @@ Status HsmCache::Land(const std::string& file, int64_t bytes,
     on_durable = [this, tracer, file, bytes, start_sec,
                   cb = std::move(on_durable)](int64_t stored) {
       double end_sec = simulation_->Now();
-      tracer->CompleteEvent("hsm.archive_put", "storage", UsOf(start_sec),
-                            UsOf(end_sec - start_sec),
+      tracer->CompleteEvent("hsm.archive_put", "storage", obs::UsOf(start_sec),
+                            obs::UsOf(end_sec - start_sec),
                             {{"file", file},
                              {"bytes", std::to_string(bytes)}});
       if (cb) {
@@ -187,7 +177,7 @@ Status HsmCache::Fetch(const std::string& file, bool want_content,
     if (obs::Tracer* tracer = ActiveTracer()) {
       // Duration is known up front; emit the span at schedule time.
       tracer->CompleteEvent("hsm.cache_read", "storage",
-                            UsOf(simulation_->Now()), UsOf(access_time),
+                            obs::UsOf(simulation_->Now()), obs::UsOf(access_time),
                             {{"file", file},
                              {"bytes", std::to_string(fetched.bytes)}});
     }
@@ -229,8 +219,8 @@ Status HsmCache::Fetch(const std::string& file, bool want_content,
         if (tracer != nullptr) {
           // One span covers the whole recall, bad-block retries included.
           double end_sec = simulation_->Now();
-          tracer->CompleteEvent("hsm.recall", "storage", UsOf(start_sec),
-                                UsOf(end_sec - start_sec),
+          tracer->CompleteEvent("hsm.recall", "storage", obs::UsOf(start_sec),
+                                obs::UsOf(end_sec - start_sec),
                                 {{"file", file},
                                  {"outcome", got.ok() ? "ok" : "error"}});
         }

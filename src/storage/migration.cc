@@ -1,19 +1,8 @@
 #include "storage/migration.h"
 
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace dflow::storage {
-
-namespace {
-
-/// Virtual seconds -> trace microseconds.
-int64_t UsOf(double seconds) {
-  return static_cast<int64_t>(std::llround(seconds * 1e6));
-}
-
-}  // namespace
 
 MediaMigration::MediaMigration(sim::Simulation* simulation,
                                TapeLibrary* source,
@@ -99,8 +88,8 @@ void MediaMigration::FinishFile(const std::string& file, int attempt,
   (migrated ? files_migrated_ : files_lost_)->Add(1);
   if (obs::Tracer* tracer = ActiveTracer()) {
     double end_sec = simulation_->Now();
-    tracer->CompleteEvent("migrate_file", "storage", UsOf(start_sec),
-                          UsOf(end_sec - start_sec),
+    tracer->CompleteEvent("migrate_file", "storage", obs::UsOf(start_sec),
+                          obs::UsOf(end_sec - start_sec),
                           {{"file", file},
                            {"attempts", std::to_string(attempt + 1)},
                            {"outcome", migrated ? "migrated" : "lost"}});

@@ -30,30 +30,23 @@ PreloadSubsystem::PreloadSubsystem(PreloadConfig config,
 }
 
 Status PreloadSubsystem::EnsureSchema() {
-  if (db_->catalog().Find("pages") == nullptr) {
-    DFLOW_RETURN_IF_ERROR(db_->CreateTable(
-        "pages", db::Schema({{"url", db::Type::kString, false},
-                             {"crawl_ts", db::Type::kInt64, false},
-                             {"ip", db::Type::kString, true},
-                             {"mime", db::Type::kString, true},
-                             {"bytes", db::Type::kInt64, false},
-                             {"out_degree", db::Type::kInt64, false}})));
+  DFLOW_RETURN_IF_ERROR(db_->EnsureTable(
+      "pages", db::Schema({{"url", db::Type::kString, false},
+                           {"crawl_ts", db::Type::kInt64, false},
+                           {"ip", db::Type::kString, true},
+                           {"mime", db::Type::kString, true},
+                           {"bytes", db::Type::kInt64, false},
+                           {"out_degree", db::Type::kInt64, false}})));
+  DFLOW_RETURN_IF_ERROR(db_->EnsureTable(
+      "links", db::Schema({{"src", db::Type::kString, false},
+                           {"dst", db::Type::kString, false},
+                           {"crawl_ts", db::Type::kInt64, false}})));
+  if (!config_.build_indexes) {
+    return Status::OK();
   }
-  if (db_->catalog().Find("links") == nullptr) {
-    DFLOW_RETURN_IF_ERROR(db_->CreateTable(
-        "links", db::Schema({{"src", db::Type::kString, false},
-                             {"dst", db::Type::kString, false},
-                             {"crawl_ts", db::Type::kInt64, false}})));
-  }
-  if (config_.build_indexes) {
-    if (db_->catalog().Find("pages")->FindIndexOnColumn("url") == nullptr) {
-      DFLOW_RETURN_IF_ERROR(db_->CreateIndex("pages_by_url", "pages", "url"));
-      DFLOW_RETURN_IF_ERROR(
-          db_->CreateIndex("pages_by_ts", "pages", "crawl_ts"));
-      DFLOW_RETURN_IF_ERROR(db_->CreateIndex("links_by_src", "links", "src"));
-    }
-  }
-  return Status::OK();
+  DFLOW_RETURN_IF_ERROR(db_->EnsureIndex("pages_by_url", "pages", "url"));
+  DFLOW_RETURN_IF_ERROR(db_->EnsureIndex("pages_by_ts", "pages", "crawl_ts"));
+  return db_->EnsureIndex("links_by_src", "links", "src");
 }
 
 Result<PreloadStats> PreloadSubsystem::LoadArcFiles(

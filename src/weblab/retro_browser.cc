@@ -38,23 +38,14 @@ Result<RetroPage> RetroBrowser::Browse(const std::string& url,
 
   // Outlinks of this exact version from the metadata database.
   DFLOW_ASSIGN_OR_RETURN(auto links_table, db_->catalog().Get("links"));
-  const db::IndexInfo* index = links_table->FindIndexOnColumn("src");
-  if (index != nullptr) {
-    for (db::RowId rid : index->tree->Find(db::Value::String(url))) {
-      DFLOW_ASSIGN_OR_RETURN(db::Row row, links_table->heap->Get(rid));
-      if (row[2].AsInt() == page.version_time) {
-        page.links.push_back(row[1].AsString());
-      }
-    }
-  } else {
-    DFLOW_RETURN_IF_ERROR(
-        links_table->heap->ForEach([&](db::RowId, const db::Row& row) {
-          if (row[0].AsString() == url && row[2].AsInt() == page.version_time) {
-            page.links.push_back(row[1].AsString());
-          }
-          return true;
-        }));
-  }
+  DFLOW_RETURN_IF_ERROR(db::ScanTable(
+      *links_table, "src", db::Value::String(url),
+      [&](db::RowId, db::Row&& row) {
+        if (row[2].AsInt() == page.version_time) {
+          page.links.push_back(row[1].AsString());
+        }
+        return true;
+      }));
   return page;
 }
 

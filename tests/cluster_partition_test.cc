@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -398,6 +399,58 @@ TEST(ClusterPartitionTest, ArmPlanWithABadTargetArmsNothing) {
           << bad.target << " at t=" << t;
     }
     EXPECT_EQ((*cluster)->Stats().partition_transitions, 0) << bad.target;
+  }
+}
+
+TEST(ClusterPartitionTest, OneAdvanceStopsAtEveryCutAndHeal) {
+  // One target partitioned again and again: one advance across the whole
+  // horizon must observe every cut and heal, exactly as a cluster stepped
+  // to each boundary in turn does.
+  fault::FaultPlanConfig plan_config;
+  plan_config.horizon_sec = 200.0;
+  fault::FaultProcess process;
+  process.kind = fault::FaultKind::kPartition;
+  process.target = "node0|node1,node2";
+  process.rate_per_sec = 0.015;
+  process.mean_duration_sec = 10.0;
+  plan_config.processes.push_back(process);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    auto plan = fault::FaultPlan::Generate(seed, plan_config);
+    ASSERT_TRUE(plan.ok());
+    std::vector<double> boundaries;
+    for (const fault::FaultEvent& event : plan->events()) {
+      boundaries.push_back(event.time_sec);
+      boundaries.push_back(event.time_sec + event.duration_sec);
+    }
+    std::sort(boundaries.begin(), boundaries.end());
+
+    HistoryRecorder one_history;
+    HistoryRecorder stepped_history;
+    ClusterConfig one_config = MajorityConfig(3, 43);
+    one_config.history = &one_history;
+    ClusterConfig stepped_config = MajorityConfig(3, 43);
+    stepped_config.history = &stepped_history;
+    auto one = Cluster::Create(one_config, EchoBackends());
+    auto stepped = Cluster::Create(stepped_config, EchoBackends());
+    ASSERT_TRUE(one.ok());
+    ASSERT_TRUE(stepped.ok());
+    ASSERT_TRUE((*one)->ArmPartitionPlan(*plan).ok());
+    ASSERT_TRUE((*stepped)->ArmPartitionPlan(*plan).ok());
+
+    ASSERT_TRUE((*one)->AdvancePartitionTime(200.0).ok());
+    for (double boundary : boundaries) {
+      if (boundary <= 200.0) {
+        ASSERT_TRUE((*stepped)->AdvancePartitionTime(boundary).ok());
+      }
+    }
+    ASSERT_TRUE((*stepped)->AdvancePartitionTime(200.0).ok());
+
+    EXPECT_GT((*stepped)->Stats().partition_transitions, 0) << "seed " << seed;
+    EXPECT_EQ((*one)->Stats().partition_transitions,
+              (*stepped)->Stats().partition_transitions)
+        << "seed " << seed;
+    EXPECT_EQ(one_history.ToString(), stepped_history.ToString())
+        << "seed " << seed;
   }
 }
 

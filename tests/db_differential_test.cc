@@ -3,11 +3,15 @@
 //  (1) a plain C++ reference evaluation of the same predicate, and
 //  (2) the same query on an unindexed copy of the table (so an index-scan
 //      plan and a sequential-scan plan must agree row-for-row).
+// A third suite checks ORDER BY, before and after aggregation, against a
+// C++ reference stable sort.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -197,6 +201,195 @@ TEST_P(SqlDifferentialTest, EngineMatchesReferenceAndPlansAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlDifferentialTest, ::testing::Range(0, 10));
+
+/// Output rows, in order, one "v|v|...|" line each.
+std::vector<std::string> Lines(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string line;
+    for (const Value& value : row) {
+      line += value.ToString();
+      line += '|';
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+/// The reference: `rows` stable-sorted on one key per row, key column i
+/// descending when desc[i]; then DISTINCT keeps each line's first
+/// occurrence.
+std::vector<std::string> ReferenceOrder(const std::vector<Row>& rows,
+                                        const std::vector<Row>& keys,
+                                        const std::vector<bool>& desc,
+                                        bool distinct = false) {
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    for (size_t i = 0; i < desc.size(); ++i) {
+      int c = keys[x][i].Compare(keys[y][i]);
+      if (c != 0) {
+        return desc[i] ? c > 0 : c < 0;
+      }
+    }
+    return false;
+  });
+  std::vector<Row> sorted;
+  for (size_t i : order) {
+    sorted.push_back(rows[i]);
+  }
+  std::vector<std::string> lines = Lines(sorted);
+  if (distinct) {
+    std::vector<std::string> unique;
+    for (const std::string& line : lines) {
+      if (std::find(unique.begin(), unique.end(), line) == unique.end()) {
+        unique.push_back(line);
+      }
+    }
+    lines = std::move(unique);
+  }
+  return lines;
+}
+
+/// Groups `rows` on column `column` in the engine's group order (ascending
+/// encoded key), as (group value, rows of the group).
+std::vector<std::pair<Value, std::vector<Row>>> GroupOn(
+    const std::vector<Row>& rows, size_t column) {
+  std::map<std::string, std::pair<Value, std::vector<Row>>> groups;
+  for (const Row& row : rows) {
+    ByteWriter key;
+    row[column].EncodeTo(key);
+    auto& group = groups[key.Take()];
+    group.first = row[column];
+    group.second.push_back(row);
+  }
+  std::vector<std::pair<Value, std::vector<Row>>> out;
+  for (auto& [key, group] : groups) {
+    out.push_back(std::move(group));
+  }
+  return out;
+}
+
+class OrderByDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OrderByDifferentialTest, OneSortStepMatchesReferenceStableSort) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  static const char* kWords[] = {"delta", "alpha", "epsilon", "beta"};
+  // Few distinct keys, so ties are common; b is NULL in about a quarter of
+  // the rows. With no index, the scan order is the insertion order.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", Schema({{"a", Type::kInt64, false},
+                                          {"b", Type::kInt64, true},
+                                          {"c", Type::kDouble, false},
+                                          {"s", Type::kString, false}}))
+                  .ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    Row row{Value::Int(rng.Uniform(-2, 2)),
+            rng.Uniform(0, 3) == 0 ? Value::Null()
+                                   : Value::Int(rng.Uniform(0, 4)),
+            Value::Double(rng.UniformReal(-1.0, 1.0)),
+            Value::String(kWords[rng.Uniform(0, 3)])};
+    ASSERT_TRUE(db.Insert("t", row).ok());
+    rows.push_back(std::move(row));
+  }
+  enum { kA, kB, kC, kS };
+
+  struct Case {
+    std::string sql;
+    std::vector<std::string> expected;
+  };
+  std::vector<Case> cases;
+
+  // A plain projection, ordered by columns it does not project.
+  {
+    std::vector<Row> out, keys;
+    for (const Row& row : rows) {
+      out.push_back({row[kS], row[kC]});
+      keys.push_back({row[kB], row[kA]});
+    }
+    cases.push_back({"SELECT s, c FROM t ORDER BY b DESC, a",
+                     ReferenceOrder(out, keys, {true, false})});
+  }
+  // DISTINCT after the sort keeps each row's first occurrence.
+  {
+    std::vector<Row> out, keys;
+    for (const Row& row : rows) {
+      out.push_back({row[kS], row[kB]});
+      keys.push_back({row[kS], row[kB]});
+    }
+    cases.push_back({"SELECT DISTINCT s, b FROM t ORDER BY s DESC, b",
+                     ReferenceOrder(out, keys, {true, false},
+                                    /*distinct=*/true)});
+  }
+  // After aggregation the keys come from the output row: HAVING on an
+  // alias, then a count tie broken by the group key, NULL group first.
+  {
+    std::vector<Row> out, keys;
+    for (const auto& [b, group] : GroupOn(rows, kB)) {
+      int64_t total = 0;
+      for (const Row& row : group) {
+        total += row[kA].AsInt();
+      }
+      Value n = Value::Int(static_cast<int64_t>(group.size()));
+      if (group.size() > 1) {
+        out.push_back({b, n, Value::Int(total)});
+        keys.push_back({n, b});
+      }
+    }
+    cases.push_back({"SELECT b, COUNT(*) AS n, SUM(a) AS total FROM t "
+                     "GROUP BY b HAVING n > 1 ORDER BY n DESC, b",
+                     ReferenceOrder(out, keys, {true, false})});
+  }
+  // Count ties keep the group order.
+  {
+    std::vector<Row> out, keys;
+    for (const auto& [s, group] : GroupOn(rows, kS)) {
+      Value top = group.front()[kC];
+      for (const Row& row : group) {
+        if (row[kC].Compare(top) > 0) {
+          top = row[kC];
+        }
+      }
+      Value n = Value::Int(static_cast<int64_t>(group.size()));
+      out.push_back({s, n, top});
+      keys.push_back({n});
+    }
+    cases.push_back({"SELECT s, COUNT(*) AS n, MAX(c) FROM t GROUP BY s "
+                     "ORDER BY n",
+                     ReferenceOrder(out, keys, {false})});
+  }
+
+  for (const Case& test_case : cases) {
+    auto full = db.Execute(test_case.sql);
+    ASSERT_TRUE(full.ok()) << test_case.sql << ": " << full.status();
+    EXPECT_EQ(Lines(full->rows), test_case.expected) << test_case.sql;
+
+    // Every LIMIT from 0 to past the row count, at offsets around both
+    // ends, cuts the one sorted result.
+    const size_t count = test_case.expected.size();
+    for (size_t limit = 0; limit <= count + 1; ++limit) {
+      for (size_t offset : {size_t{0}, size_t{1}, count / 2, count,
+                            count + 1}) {
+        const std::string sql = test_case.sql + " LIMIT " +
+                                std::to_string(limit) + " OFFSET " +
+                                std::to_string(offset);
+        auto cut = db.Execute(sql);
+        ASSERT_TRUE(cut.ok()) << sql << ": " << cut.status();
+        size_t begin = std::min(offset, count);
+        size_t end = std::min(begin + limit, count);
+        EXPECT_EQ(Lines(cut->rows),
+                  std::vector<std::string>(
+                      test_case.expected.begin() + static_cast<long>(begin),
+                      test_case.expected.begin() + static_cast<long>(end)))
+            << sql;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrderByDifferentialTest,
+                         ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace dflow::db

@@ -335,5 +335,48 @@ TEST(WalBeforePageTest, EvictionWritebacksNeverOutrunDurableWal) {
   std::filesystem::remove(path + ".pages");
 }
 
+// --- The read path pins each heap page once per scan ---
+
+int64_t Pins(const Database& db) {
+  BufferPool::Stats stats = db.pool()->stats();
+  return stats.hits + stats.misses;
+}
+
+TEST(ScanPinsTest, SequentialScanPinsEachHeapPageOnce) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k INT, flag INT, pad TEXT)").ok());
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < 2000; ++k) {
+    rows.push_back(
+        {Value::Int(k), Value::Int(0), Value::String(std::string(40, 'p'))});
+  }
+  ASSERT_TRUE(db.InsertMany("t", std::move(rows)).ok());
+  const int64_t pages =
+      static_cast<int64_t>(db.catalog().Find("t")->heap->num_pages());
+  ASSERT_GT(pages, 1);
+
+  // A SELECT with no usable index pins each page once, not once more per
+  // row it reads.
+  int64_t before = Pins(db);
+  auto all = db.Execute("SELECT * FROM t");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->rows.size(), 2000u);
+  EXPECT_EQ(Pins(db) - before, pages);
+
+  // UPDATE and DELETE pin each page once for their scan, plus once for
+  // each row they change (every update here fits in place).
+  before = Pins(db);
+  auto updated = db.Execute("UPDATE t SET flag = 1 WHERE k % 7 = 0");
+  ASSERT_TRUE(updated.ok());
+  EXPECT_EQ(updated->affected, 286);
+  EXPECT_EQ(Pins(db) - before, pages + 286);
+
+  before = Pins(db);
+  auto deleted = db.Execute("DELETE FROM t WHERE flag = 1");
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_EQ(deleted->affected, 286);
+  EXPECT_EQ(Pins(db) - before, pages + 286);
+}
+
 }  // namespace
 }  // namespace dflow::db

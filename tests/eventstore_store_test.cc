@@ -456,5 +456,36 @@ TEST(EventStoreDurabilityTest, CollaborationStoreSurvivesReopen) {
   std::filesystem::remove(path);
 }
 
+TEST(EventStoreDurabilityTest, ReopenCreatesTheMissingSchema) {
+  // A store killed during its first open: each DDL statement commits on
+  // its own, so only the first table reached the log.
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "dflow_es_partial.wal";
+  std::filesystem::remove(path);
+  {
+    auto db = db::Database::Open(path.string());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)
+                    ->Execute("CREATE TABLE files (run INT NOT NULL, data_type "
+                              "TEXT NOT NULL, version TEXT NOT NULL, "
+                              "registered_at INT NOT NULL, bytes INT NOT "
+                              "NULL, location TEXT, prov TEXT)")
+                    .ok());
+  }
+  auto store = EventStore::Create(StoreScale::kCollaboration, path.string());
+  ASSERT_TRUE(store.ok());
+  const db::Catalog& catalog = (*store)->database().catalog();
+  ASSERT_NE(catalog.Find("grades"), nullptr);
+  EXPECT_NE(catalog.Find("files")->FindIndexOnColumn("run"), nullptr);
+  EXPECT_NE(catalog.Find("grades")->FindIndexOnColumn("grade"), nullptr);
+  EXPECT_TRUE((*store)->RegisterFile(MakeFile(1, "recon", "R1", 100)).ok());
+  EXPECT_TRUE((*store)->AssignGrade("physics", 200, {1, 1}, "recon", "R1").ok());
+  auto resolved = (*store)->Resolve("physics", 300);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved->size(), 1u);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path.string() + ".pages");
+}
+
 }  // namespace
 }  // namespace dflow::eventstore

@@ -4,6 +4,7 @@
 // to data and analysis functionality").
 
 #include <cstdint>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +233,41 @@ TEST(CandidateServiceTest, TopCountAndVoTable) {
   EXPECT_TRUE(service.Handle(Req("top", {{"limit", "abc"}}))
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(CandidateServiceTest, CreateMakesWhatAReopenedStoreLacks) {
+  // A durable store killed between its CREATE TABLE and its CREATE INDEX,
+  // each its own transaction: the reopened store must gain the index, or
+  // every VOTable becomes a full scan.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dflow_candidates_partial.wal")
+          .string();
+  std::filesystem::remove(path);
+  {
+    auto db = db::Database::Open(path);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)
+                    ->Execute("CREATE TABLE candidates (pointing INT NOT "
+                              "NULL, beam INT NOT NULL, freq DOUBLE NOT NULL, "
+                              "dm DOUBLE NOT NULL, snr DOUBLE NOT NULL, rfi "
+                              "BOOL NOT NULL)")
+                    .ok());
+  }
+  auto db = db::Database::Open(path);
+  ASSERT_TRUE(db.ok());
+  auto service = arecibo::CandidateService::Create(db->get());
+  ASSERT_TRUE(service.ok());
+  EXPECT_NE((*db)->catalog().Find("candidates")->FindIndexOnColumn("pointing"),
+            nullptr);
+  arecibo::Candidate candidate;
+  candidate.pointing = 3;
+  candidate.snr = 12.0;
+  ASSERT_TRUE((*service)->Load({candidate}).ok());
+  auto votable = (*service)->Handle(Req("votable", {{"pointing", "3"}}));
+  ASSERT_TRUE(votable.ok());
+  EXPECT_NE(votable->body.find("<TR>"), std::string::npos);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".pages");
 }
 
 TEST(EventStoreServiceTest, ResolveGradesHistorySummary) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "weblab/crawler.h"
 #include "weblab/retro_browser.h"
 
@@ -183,6 +185,86 @@ TEST_F(PreloadTest, RetroBrowserServesHistoricalVersions) {
   EXPECT_TRUE(browser.FollowLink(*old_page, 999, first.crawl_time)
                   .status()
                   .IsOutOfRange());
+}
+
+TEST_F(PreloadTest, ReopenCreatesTheMissingSchema) {
+  // A durable database killed after its first CREATE TABLE, or after its
+  // first CREATE INDEX: the reopened one gains every missing table and
+  // index, and the loads and the browser's outlink reads work.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dflow_preload_partial.wal")
+          .string();
+  for (bool killed_after_first_index : {false, true}) {
+    std::filesystem::remove(path);
+    {
+      auto db = db::Database::Open(path);
+      ASSERT_TRUE(db.ok());
+      ASSERT_TRUE(
+          (*db)->Execute("CREATE TABLE pages (url TEXT NOT NULL, crawl_ts INT "
+                         "NOT NULL, ip TEXT, mime TEXT, bytes INT NOT NULL, "
+                         "out_degree INT NOT NULL)")
+              .ok());
+      if (killed_after_first_index) {
+        ASSERT_TRUE((*db)->Execute("CREATE TABLE links (src TEXT NOT NULL, "
+                                   "dst TEXT NOT NULL, crawl_ts INT NOT NULL)")
+                        .ok());
+        ASSERT_TRUE(
+            (*db)->Execute("CREATE INDEX pages_by_url ON pages (url)").ok());
+      }
+    }
+    auto db = db::Database::Open(path);
+    ASSERT_TRUE(db.ok());
+    PageStore page_store;
+    PreloadSubsystem preload(PreloadConfig{}, db->get(), &page_store);
+    const db::Catalog& catalog = (*db)->catalog();
+    ASSERT_NE(catalog.Find("links"), nullptr);
+    EXPECT_NE(catalog.Find("pages")->FindIndexOnColumn("url"), nullptr);
+    EXPECT_NE(catalog.Find("pages")->FindIndexOnColumn("crawl_ts"), nullptr);
+    EXPECT_NE(catalog.Find("links")->FindIndexOnColumn("src"), nullptr);
+
+    Crawl crawl = crawler_->NextCrawl();
+    auto [arcs, dats] = PackCrawl(crawl);
+    ASSERT_TRUE(preload.LoadArcFiles(arcs).ok());
+    auto dat_stats = preload.LoadDatFiles(dats);
+    ASSERT_TRUE(dat_stats.ok());
+    EXPECT_GT(dat_stats->links_loaded, 0);
+    RetroBrowser browser(&page_store, db->get());
+    auto page = browser.Browse(crawl.pages[0].url, crawl.crawl_time);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(page->content, crawl.pages[0].content);
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".pages");
+}
+
+TEST_F(PreloadTest, BrowserReadsOutlinksWithOrWithoutTheIndex) {
+  // The outlinks come through the src index when there is one and through
+  // the heap otherwise, in the same order.
+  db::Database bare;
+  PageStore bare_store;
+  PreloadConfig no_indexes;
+  no_indexes.build_indexes = false;
+  PreloadSubsystem indexed_load(PreloadConfig{}, &db_, &page_store_);
+  PreloadSubsystem bare_load(no_indexes, &bare, &bare_store);
+  Crawl crawl = crawler_->NextCrawl();
+  auto [arcs, dats] = PackCrawl(crawl);
+  for (PreloadSubsystem* preload : {&indexed_load, &bare_load}) {
+    ASSERT_TRUE(preload->LoadArcFiles(arcs).ok());
+    ASSERT_TRUE(preload->LoadDatFiles(dats).ok());
+  }
+  ASSERT_EQ(bare.catalog().Find("links")->FindIndexOnColumn("src"), nullptr);
+  RetroBrowser indexed(&page_store_, &db_);
+  RetroBrowser heap(&bare_store, &bare);
+  size_t links = 0;
+  for (const WebPage& page : crawl.pages) {
+    auto a = indexed.Browse(page.url, crawl.crawl_time);
+    auto b = heap.Browse(page.url, crawl.crawl_time);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->links, b->links) << page.url;
+    links += a->links.size();
+  }
+  EXPECT_GT(links, 0u);
 }
 
 }  // namespace
