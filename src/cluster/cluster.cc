@@ -6,10 +6,10 @@
 #include <thread>
 #include <utility>
 
-#include "fault/adapters.h"
 #include "util/byte_buffer.h"
 #include "util/logging.h"
 #include "util/md5.h"
+#include "util/strings.h"
 
 namespace dflow::cluster {
 namespace {
@@ -127,7 +127,7 @@ Status Cluster::Init(const BackendFactory& backends) {
            it->second->alive.load(std::memory_order_acquire);
   });
   // The router only runs under mu_ (Route/Get/DecisionLog all lock), so
-  // the callback may read the partition topology directly.
+  // the callback may read the cut table directly.
   router_.SetReachableCheck([this](const std::string& from,
                                    const std::string& to) {
     return BiReachableLocked(from, to);
@@ -202,18 +202,8 @@ Status Cluster::Init(const BackendFactory& backends) {
   for (const auto& node : nodes_) {
     nodes_by_name_[node->name] = node.get();
   }
-
-  // The partition topology: a full mesh of directed virtual-time links
-  // over the node set, driven only by AdvancePartitionTime(). Everything
-  // starts reachable.
-  net::TopologyConfig topo_config;
-  topo_config.seed = config_.seed;
-  topology_ = std::make_unique<net::Topology>(&partition_sim_, topo_config);
-  for (const auto& node : nodes_) {
-    DFLOW_RETURN_IF_ERROR(topology_->AddNode(node->name));
-  }
-  DFLOW_RETURN_IF_ERROR(topology_->FullMesh());
-  reachability_ = topology_->ReachabilityMatrix();
+  // Nothing is cut yet: everything starts reachable.
+  reachability_ = ReachabilityMatrixLocked();
   return Status::OK();
 }
 
@@ -361,24 +351,37 @@ bool Cluster::ApplyWrite(Node* node, int shard, const std::string& key,
   return true;
 }
 
+bool Cluster::LinkDownLocked(const std::string& from,
+                             const std::string& to) const {
+  auto it = cut_until_.find({from, to});
+  return it != cut_until_.end() && partition_now_ < it->second;
+}
+
 bool Cluster::BiReachableLocked(const std::string& a,
                                 const std::string& b) const {
-  if (a == b) {
-    return true;
-  }
-  if (topology_ == nullptr) {
-    return true;
-  }
   // Quorum membership needs the request out AND the ack back, so a
   // one-way cut excludes the pair even though one direction still flows.
-  return topology_->Reachable(a, b) && topology_->Reachable(b, a);
+  return a == b || (!LinkDownLocked(a, b) && !LinkDownLocked(b, a));
+}
+
+std::string Cluster::ReachabilityMatrixLocked() const {
+  std::string out;
+  for (const auto& [from, unused_from] : nodes_by_name_) {
+    for (const auto& [to, unused_to] : nodes_by_name_) {
+      if (from != to) {
+        out += from + "->" + to +
+               (LinkDownLocked(from, to) ? " down\n" : " up\n");
+      }
+    }
+  }
+  return out;
 }
 
 void Cluster::RecordLocked(HistoryEvent event) {
   if (config_.history == nullptr) {
     return;
   }
-  event.time_sec = partition_sim_.Now();
+  event.time_sec = partition_now_;
   config_.history->Append(std::move(event));
 }
 
@@ -409,10 +412,7 @@ void Cluster::DrainHintsLocked() {
 }
 
 void Cluster::RefreshReachabilityLocked(const std::string& cause) {
-  if (topology_ == nullptr) {
-    return;
-  }
-  std::string matrix = topology_->ReachabilityMatrix();
+  std::string matrix = ReachabilityMatrixLocked();
   if (matrix == reachability_) {
     return;
   }
@@ -763,89 +763,164 @@ bool Cluster::IsAlive(const std::string& node_id) const {
          it->second->alive.load(std::memory_order_acquire);
 }
 
+Status Cluster::ExpandCuts(fault::FaultKind kind, const std::string& target,
+                           double start, double duration_sec,
+                           std::vector<Cut>* cuts) const {
+  if (!(duration_sec > 0.0)) {
+    return Status::InvalidArgument("cut of '" + target +
+                                   "' needs a duration > 0");
+  }
+  // A link cut "a->b" is a one-way cut from group {a} to group {b}.
+  std::vector<std::vector<std::string>> groups;
+  if (kind == fault::FaultKind::kLinkCut) {
+    size_t sep = target.find("->");
+    if (sep == std::string::npos) {
+      return Status::InvalidArgument("link cut target '" + target +
+                                     "' is not of the form a->b");
+    }
+    groups = {{target.substr(0, sep)}, {target.substr(sep + 2)}};
+  } else {
+    for (const std::string& group : Split(target, '|')) {
+      groups.push_back(Split(group, ','));
+    }
+    if (groups.size() < 2) {
+      return Status::InvalidArgument("partition '" + target +
+                                     "' needs at least two groups");
+    }
+  }
+  std::map<std::string, size_t> group_of;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (const std::string& name : groups[g]) {
+      if (nodes_by_name_.count(name) == 0) {
+        return Status::InvalidArgument("'" + target +
+                                       "' names unknown node '" + name +
+                                       "'");
+      }
+      if (!group_of.emplace(name, g).second) {
+        return Status::InvalidArgument("'" + target + "' names '" + name +
+                                       "' twice");
+      }
+    }
+  }
+  const bool one_way = kind == fault::FaultKind::kLinkCut;
+  for (const auto& [from, from_group] : group_of) {
+    for (const auto& [to, to_group] : group_of) {
+      if (from_group != to_group && !(one_way && from_group > to_group)) {
+        cuts->push_back(Cut{start, start + duration_sec, from, to});
+      }
+    }
+  }
+  return Status::OK();
+}
+
+void Cluster::AddBoundariesLocked(const std::vector<Cut>& cuts) {
+  for (const Cut& cut : cuts) {
+    partition_boundaries_.push_back(cut.start);
+    partition_boundaries_.push_back(cut.end);
+  }
+  std::sort(partition_boundaries_.begin(), partition_boundaries_.end());
+  partition_boundaries_.erase(
+      std::unique(partition_boundaries_.begin(), partition_boundaries_.end()),
+      partition_boundaries_.end());
+}
+
+void Cluster::TakeEffectLocked(const Cut& cut) {
+  auto [it, inserted] = cut_until_.try_emplace({cut.from, cut.to}, cut.end);
+  if (!inserted) {
+    it->second = std::max(it->second, cut.end);
+  }
+}
+
 Status Cluster::ArmPartitionPlan(const fault::FaultPlan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const fault::FaultEvent& event : plan.events()) {
-    if (event.time_sec < partition_sim_.Now()) {
+    if (!(event.time_sec >= partition_now_)) {
       return Status::OutOfRange("fault event at t=" +
                                 std::to_string(event.time_sec) +
                                 " is behind the partition clock");
     }
   }
-  auto injector =
-      std::make_unique<fault::Injector>(&partition_sim_, plan);
-  DFLOW_RETURN_IF_ERROR(
-      fault::ArmTopologyPartitions(*injector, topology_.get(), plan));
-  DFLOW_RETURN_IF_ERROR(injector->Arm());
-  // Every event's cut and heal are reachability boundaries the advance
-  // loop must stop at.
+  std::vector<Cut> cuts;
   for (const fault::FaultEvent& event : plan.events()) {
     if (event.kind == fault::FaultKind::kPartition ||
         event.kind == fault::FaultKind::kLinkCut) {
-      partition_boundaries_.push_back(event.time_sec);
-      partition_boundaries_.push_back(event.time_sec + event.duration_sec);
+      DFLOW_RETURN_IF_ERROR(ExpandCuts(event.kind, event.target,
+                                       event.time_sec, event.duration_sec,
+                                       &cuts));
     }
   }
-  std::sort(partition_boundaries_.begin(), partition_boundaries_.end());
-  // Armed events hold a reference to their injector; keep it alive.
-  partition_injectors_.push_back(std::move(injector));
+  // Every cut's start and end are reachability boundaries the advance
+  // loop must stop at; the cuts wait there for the clock.
+  AddBoundariesLocked(cuts);
+  armed_cuts_.insert(armed_cuts_.end(), cuts.begin(), cuts.end());
+  return Status::OK();
+}
+
+Status Cluster::CutNow(fault::FaultKind kind, const std::string& target,
+                       double duration_sec) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Cut> cuts;
+  DFLOW_RETURN_IF_ERROR(
+      ExpandCuts(kind, target, partition_now_, duration_sec, &cuts));
+  AddBoundariesLocked(cuts);
+  for (const Cut& cut : cuts) {
+    TakeEffectLocked(cut);
+  }
+  RefreshReachabilityLocked(
+      (kind == fault::FaultKind::kPartition ? "partition " : "cut ") + target);
   return Status::OK();
 }
 
 Status Cluster::PartitionNodes(const std::string& group_spec,
                                double duration_sec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DFLOW_RETURN_IF_ERROR(topology_->Partition(group_spec, duration_sec));
-  partition_boundaries_.push_back(partition_sim_.Now() + duration_sec);
-  std::sort(partition_boundaries_.begin(), partition_boundaries_.end());
-  RefreshReachabilityLocked("partition " + group_spec);
-  return Status::OK();
+  return CutNow(fault::FaultKind::kPartition, group_spec, duration_sec);
 }
 
 Status Cluster::CutLink(const std::string& from, const std::string& to,
                         double duration_sec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DFLOW_RETURN_IF_ERROR(topology_->CutLink(from, to, duration_sec));
-  partition_boundaries_.push_back(partition_sim_.Now() + duration_sec);
-  std::sort(partition_boundaries_.begin(), partition_boundaries_.end());
-  RefreshReachabilityLocked("cut " + from + "->" + to);
-  return Status::OK();
+  return CutNow(fault::FaultKind::kLinkCut, from + "->" + to, duration_sec);
+}
+
+void Cluster::StepPartitionClockLocked(double time_sec) {
+  partition_now_ = time_sec;
+  auto due = std::partition(
+      armed_cuts_.begin(), armed_cuts_.end(),
+      [time_sec](const Cut& cut) { return cut.start > time_sec; });
+  for (auto it = due; it != armed_cuts_.end(); ++it) {
+    TakeEffectLocked(*it);
+  }
+  armed_cuts_.erase(due, armed_cuts_.end());
+  RefreshReachabilityLocked(TimeTag(time_sec));
 }
 
 Status Cluster::AdvancePartitionTime(double time_sec) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (time_sec < partition_sim_.Now()) {
+  if (!(time_sec >= partition_now_)) {
     return Status::OutOfRange(
         "partition clock only advances (now=" +
-        std::to_string(partition_sim_.Now()) + ", asked=" +
+        std::to_string(partition_now_) + ", asked=" +
         std::to_string(time_sec) + ")");
   }
-  // Stop at every armed cut/heal boundary in (now, time_sec] so each
+  // Stop at every cut/heal boundary in (now, time_sec] so each
   // reachability transition is observed — epoch bumps, history records,
-  // and hint drains happen per transition, not once at the end. The no-op
-  // event pins the clock to the boundary even when the queue is empty.
+  // and hint drains happen per transition, not once at the end.
   for (double boundary : partition_boundaries_) {
-    if (boundary <= partition_sim_.Now() || boundary > time_sec) {
-      continue;
+    if (boundary > partition_now_ && boundary <= time_sec) {
+      StepPartitionClockLocked(boundary);
     }
-    partition_sim_.ScheduleAt(boundary, [] {});
-    partition_sim_.RunUntil(boundary);
-    RefreshReachabilityLocked(TimeTag(boundary));
   }
-  partition_sim_.ScheduleAt(time_sec, [] {});
-  partition_sim_.RunUntil(time_sec);
-  RefreshReachabilityLocked(TimeTag(time_sec));
+  StepPartitionClockLocked(time_sec);
   return Status::OK();
 }
 
 double Cluster::PartitionNow() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return partition_sim_.Now();
+  return partition_now_;
 }
 
 std::string Cluster::ReachabilityMatrix() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return topology_->ReachabilityMatrix();
+  return reachability_;
 }
 
 bool Cluster::ReplicasConverged() const {

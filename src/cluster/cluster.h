@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/consistency.h"
@@ -16,13 +17,10 @@
 #include "core/web_service.h"
 #include "db/wal.h"
 #include "fault/fault_plan.h"
-#include "fault/injector.h"
-#include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
-#include "sim/simulation.h"
 #include "util/result.h"
 
 namespace dflow::cluster {
@@ -150,12 +148,13 @@ struct ClusterStats {
 ///     replica, requires `read_quorum` answers, returns the newest
 ///     version, and read-repairs any stale consulted copy in place.
 ///
-/// Partitions are seeded, not ad hoc: ArmPartitionPlan() arms a
-/// fault::FaultPlan's kPartition/kLinkCut events on a private virtual-time
-/// net::Topology, and AdvancePartitionTime() steps the clock through every
-/// cut and heal boundary, refreshing the reachability matrix the router
-/// and quorum paths consult. Reachability is distinct from liveness: a
-/// partitioned node keeps its state and resumes the moment links heal.
+/// Partitions are seeded, not ad hoc: the cluster owns one table of timed
+/// one-way link cuts. ArmPartitionPlan() arms a fault::FaultPlan's
+/// kPartition/kLinkCut events as cuts that wait for the clock, and
+/// AdvancePartitionTime() steps a virtual clock through every cut and heal
+/// boundary, refreshing the reachability matrix the router and quorum
+/// paths consult. Reachability is distinct from liveness: a partitioned
+/// node keeps its state and resumes the moment links heal.
 ///
 /// Thread-safe: any number of client threads may call Execute/Put/Get
 /// concurrently with kills, rejoins, partition transitions, and shard
@@ -227,15 +226,21 @@ class Cluster {
   bool IsAlive(const std::string& node_id) const;
 
   /// --- Seeded partition fault surface -------------------------------
-  /// The cluster owns a private virtual-time clock and a full-mesh
-  /// net::Topology over its nodes; partitions are armed as fault-plan
-  /// events and stepped deterministically, never from wall clock.
+  /// The cluster owns a virtual partition clock and a table of timed cuts
+  /// on the directed links between its nodes: from->to is down at time t
+  /// iff a cut in effect on it has start <= t < end (overlapping cuts of
+  /// one link extend each other). Every way to cut goes through one check:
+  /// a duration > 0, and a target that names only cluster nodes, as a
+  /// group spec "a,b|c,d" (every directed link crossing a group boundary)
+  /// or a link "a->b" between two distinct nodes (that direction only).
+  /// InvalidArgument otherwise, with nothing cut. The clock moves only
+  /// through AdvancePartitionTime(), never from wall clock.
 
-  /// Arms every kPartition ("a,b|c,d" group spec) and kLinkCut ("a->b")
-  /// event of `plan` on the partition topology, through
-  /// fault::ArmTopologyPartitions. InvalidArgument on a target that names
-  /// no cluster node or link, or a non-positive duration; OutOfRange on an
-  /// event before PartitionNow(). Either way nothing of the plan is armed.
+  /// Arms every kPartition and kLinkCut event of `plan` as cuts over
+  /// [time_sec, time_sec + duration_sec) that take effect when
+  /// AdvancePartitionTime() moves the clock to or past their start.
+  /// OutOfRange on any event before PartitionNow(); InvalidArgument on a
+  /// bad target or duration. Either way nothing of the plan is armed.
   Status ArmPartitionPlan(const fault::FaultPlan& plan);
 
   /// Cuts every directed link crossing the group boundary for
@@ -248,17 +253,18 @@ class Cluster {
   Status CutLink(const std::string& from, const std::string& to,
                  double duration_sec);
 
-  /// Advances the partition clock to `time_sec` (monotonic; OutOfRange to
-  /// go backward), stepping through every armed cut and heal boundary in
-  /// order. Each reachability change bumps the version epoch, appends a
-  /// kReach history event, and drains hints across newly-healed pairs.
+  /// Advances the partition clock to `time_sec`, stepping through every
+  /// armed cut and heal boundary in order. OutOfRange, with nothing
+  /// changed, unless time_sec >= PartitionNow() (NaN included). Each
+  /// reachability change bumps the version epoch, appends a kReach
+  /// history event, and drains hints across newly-healed pairs.
   Status AdvancePartitionTime(double time_sec);
 
   /// Current virtual time of the partition clock.
   double PartitionNow() const;
 
-  /// Canonical per-link "a->b up|down" dump of the partition topology —
-  /// the reachability matrix, in link-name order.
+  /// Canonical "a->b up|down" dump, one line per ordered pair of distinct
+  /// nodes in name order — the reachability matrix.
   std::string ReachabilityMatrix() const;
 
   /// True when every alive node holds an identical copy of every shard it
@@ -337,6 +343,15 @@ class Cluster {
     Version version;
   };
 
+  /// One timed cut of the directed link from->to over [start, end) of
+  /// partition time.
+  struct Cut {
+    double start = 0.0;
+    double end = 0.0;
+    std::string from;
+    std::string to;
+  };
+
   struct Node {
     std::string name;
     core::ServiceRegistry registry;
@@ -367,10 +382,35 @@ class Cluster {
   /// Requires mu_. The replica set writes must reach right now: alive
   /// members of the map's replica chain plus any in-flight move target.
   Result<std::vector<Node*>> WriteSetLocked(int shard);
-  /// Requires mu_. Both directions up on the partition topology (and not
-  /// severed by name). Self is always reachable.
+  /// The one check every way to cut goes through (see the partition
+  /// surface): appends the directed-link cuts that `target`, a kPartition
+  /// group spec or a kLinkCut link, expands to over [start, start +
+  /// duration_sec), in link-name order. Reads only the node set, which is
+  /// fixed at Create().
+  Status ExpandCuts(fault::FaultKind kind, const std::string& target,
+                    double start, double duration_sec,
+                    std::vector<Cut>* cuts) const;
+  /// PartitionNodes() and CutLink(): the cuts start now and take effect at
+  /// once.
+  Status CutNow(fault::FaultKind kind, const std::string& target,
+                double duration_sec);
+  /// Requires mu_. Records the start and end of each cut as boundaries
+  /// AdvancePartitionTime() stops at.
+  void AddBoundariesLocked(const std::vector<Cut>& cuts);
+  /// Requires mu_. Puts `cut` in effect: its link is down until the later
+  /// of its end and the end already in effect there.
+  void TakeEffectLocked(const Cut& cut);
+  /// Requires mu_. Moves the clock to `time_sec`, puts every armed cut
+  /// whose start it reached in effect, and refreshes reachability.
+  void StepPartitionClockLocked(double time_sec);
+  /// Requires mu_. True while a cut in effect holds from->to down.
+  bool LinkDownLocked(const std::string& from, const std::string& to) const;
+  /// Requires mu_. Both directions up in the cut table. Self is always
+  /// reachable.
   bool BiReachableLocked(const std::string& a, const std::string& b) const;
-  /// Requires mu_. Recomputes the reachability matrix from the topology,
+  /// Requires mu_. The reachability matrix at the current clock.
+  std::string ReachabilityMatrixLocked() const;
+  /// Requires mu_. Recomputes the reachability matrix from the cut table,
   /// and on any change bumps the epoch, records kReach, and drains hints
   /// across pairs that just became bidirectionally reachable.
   void RefreshReachabilityLocked(const std::string& cause);
@@ -394,14 +434,15 @@ class Cluster {
   std::map<std::string, Node*> nodes_by_name_;
   std::map<int, std::string> moving_;  // shard -> move target (window open).
 
-  // Partition machinery (all guarded by mu_). The sim clock only ever
+  // The partition model (all guarded by mu_). The clock only ever
   // advances through AdvancePartitionTime(), so reachability is a pure
-  // function of (armed plan, advance calls) — no wall time anywhere.
-  sim::Simulation partition_sim_;
-  std::unique_ptr<net::Topology> topology_;
-  /// One injector per armed plan, kept alive because armed events
-  /// reference their injector until they fire.
-  std::vector<std::unique_ptr<fault::Injector>> partition_injectors_;
+  // function of (armed plans, immediate cuts, advance calls) — no wall
+  // time anywhere.
+  double partition_now_ = 0.0;
+  std::vector<Cut> armed_cuts_;  // Waiting for the clock to reach start.
+  /// The end of the latest cut in effect on each directed link (from, to):
+  /// the link is down while partition_now_ < end.
+  std::map<std::pair<std::string, std::string>, double> cut_until_;
   std::vector<double> partition_boundaries_;  // Cut/heal times, sorted.
   std::string reachability_;                  // Last computed matrix.
   int64_t epoch_ = 0;            // Bumps on kill/rejoin/reach changes.

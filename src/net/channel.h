@@ -47,10 +47,10 @@ Status VerifyPayload(const TransferItem& item);
 /// pointed at either and the benches can sweep the crossover.
 ///
 /// Ownership and lifetime contract:
-///   * A Channel is owned by whoever constructed it — a scenario on the
-///     stack, or a net::Topology for its links. Consumers (TransferManager,
-///     fault adapters, the cluster replay) only ever borrow `Channel*`;
-///     nothing in this library takes or shares ownership of a channel.
+///   * A Channel is owned by whoever constructed it — a scenario or a flow
+///     on the stack. Consumers (TransferManager, fault adapters) only ever
+///     borrow `Channel*`; nothing in this library takes or shares
+///     ownership of a channel.
 ///   * A channel must outlive (a) every in-flight Send() — callbacks fire
 ///     from the simulation, so the channel must survive until the
 ///     simulation has run past the last delivery — and (b) every

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,6 +27,7 @@
 #include "core/web_service.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
+#include "util/md5.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -320,8 +322,93 @@ TEST(ClusterPartitionTest, PartitionClockIsMonotonicAndValidated) {
   ASSERT_TRUE((*cluster)->AdvancePartitionTime(5.0).ok());
   EXPECT_EQ((*cluster)->PartitionNow(), 5.0);
   EXPECT_TRUE((*cluster)->AdvancePartitionTime(1.0).IsOutOfRange());
-  EXPECT_FALSE((*cluster)->PartitionNodes("node0|nope", 1.0).ok());
-  EXPECT_FALSE((*cluster)->CutLink("node0", "nope", 1.0).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE((*cluster)->AdvancePartitionTime(nan).IsOutOfRange());
+  EXPECT_EQ((*cluster)->PartitionNow(), 5.0);
+
+  // One check for every way to cut: a duration that is not > 0, an
+  // unknown node and a self link are each refused, and cut nothing.
+  const std::string all_up = (*cluster)->ReachabilityMatrix();
+  const std::string spec = "node0|node1,node2";
+  for (double bad : {0.0, -5.0, nan}) {
+    EXPECT_TRUE((*cluster)->PartitionNodes(spec, bad).IsInvalidArgument())
+        << bad;
+    EXPECT_TRUE((*cluster)->CutLink("node0", "node1", bad).IsInvalidArgument())
+        << bad;
+  }
+  EXPECT_TRUE(
+      (*cluster)->PartitionNodes("node0|nope", 1.0).IsInvalidArgument());
+  EXPECT_TRUE((*cluster)->CutLink("node0", "nope", 1.0).IsInvalidArgument());
+  EXPECT_TRUE((*cluster)->CutLink("node0", "node0", 1.0).IsInvalidArgument());
+  EXPECT_EQ((*cluster)->ReachabilityMatrix(), all_up);
+
+  // A refused cut leaves no boundary behind: the clock still advances.
+  ASSERT_TRUE((*cluster)->AdvancePartitionTime(10.0).ok());
+  EXPECT_EQ((*cluster)->PartitionNow(), 10.0);
+  EXPECT_EQ((*cluster)->ReachabilityMatrix(), all_up);
+  EXPECT_EQ((*cluster)->Stats().partition_transitions, 0);
+}
+
+TEST(ClusterPartitionTest, OverlappingCutsOfOneLinkHealAtTheLaterEnd) {
+  auto cluster = Cluster::Create(MajorityConfig(3, 37), EchoBackends());
+  ASSERT_TRUE(cluster.ok());
+  auto down = [&] {
+    return (*cluster)->ReachabilityMatrix().find("node0->node1 down") !=
+           std::string::npos;
+  };
+  const std::string spec = "node0|node1,node2";
+  ASSERT_TRUE((*cluster)->PartitionNodes(spec, 10.0).ok());
+  EXPECT_TRUE(down());
+  ASSERT_TRUE((*cluster)->AdvancePartitionTime(5.0).ok());
+  ASSERT_TRUE((*cluster)->PartitionNodes(spec, 10.0).ok());  // Until 15.
+  EXPECT_EQ((*cluster)->Stats().partition_transitions, 1);
+
+  ASSERT_TRUE((*cluster)->AdvancePartitionTime(10.0).ok());
+  EXPECT_TRUE(down());
+  EXPECT_EQ((*cluster)->Stats().partition_transitions, 1);
+  ASSERT_TRUE((*cluster)->AdvancePartitionTime(15.0).ok());
+  EXPECT_FALSE(down());
+  EXPECT_EQ((*cluster)->Stats().partition_transitions, 2);
+}
+
+TEST(ClusterPartitionTest, PlanArmedLinkCutIsStrictlyOneWay) {
+  auto cluster = Cluster::Create(MajorityConfig(3, 7), EchoBackends());
+  ASSERT_TRUE(cluster.ok());
+  fault::FaultPlanConfig plan_config;
+  plan_config.horizon_sec = 100.0;
+  fault::FaultProcess process;
+  process.kind = fault::FaultKind::kLinkCut;
+  process.target = "node0->node1";
+  process.rate_per_sec = 0.05;
+  process.mean_duration_sec = 30.0;
+  plan_config.processes.push_back(process);
+  auto plan = fault::FaultPlan::Generate(21, plan_config);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_FALSE(plan->empty());
+  ASSERT_TRUE((*cluster)->ArmPartitionPlan(*plan).ok());
+
+  // Mid-way through the first window only node0->node1 is down; the
+  // reverse direction and every other link still flow.
+  const fault::FaultEvent& first = plan->events().front();
+  ASSERT_TRUE((*cluster)
+                  ->AdvancePartitionTime(first.time_sec +
+                                         first.duration_sec / 2.0)
+                  .ok());
+  EXPECT_EQ((*cluster)->ReachabilityMatrix(),
+            "node0->node1 down\n"
+            "node0->node2 up\n"
+            "node1->node0 up\n"
+            "node1->node2 up\n"
+            "node2->node0 up\n"
+            "node2->node1 up\n");
+
+  // Past the last window the cut direction heals by the clock.
+  double heal = 0.0;
+  for (const fault::FaultEvent& event : plan->events()) {
+    heal = std::max(heal, event.time_sec + event.duration_sec);
+  }
+  ASSERT_TRUE((*cluster)->AdvancePartitionTime(heal + 1.0).ok());
+  EXPECT_EQ((*cluster)->ReachabilityMatrix().find("down"), std::string::npos);
 }
 
 TEST(ClusterPartitionTest, ArmPlanValidatesTargets) {
@@ -366,6 +453,7 @@ TEST(ClusterPartitionTest, ArmPlanWithABadTargetArmsNothing) {
       {fault::FaultKind::kLinkCut, "node0->node0", 5.0},  // Self link.
       {fault::FaultKind::kLinkCut, "node0->node9", 5.0},  // Unknown node.
       {fault::FaultKind::kPartition, "node0|node9", 5.0}, // Unknown node.
+      {fault::FaultKind::kPartition, "node0|", 5.0},      // Does not parse.
       {fault::FaultKind::kPartition, "node0|node1", 0.0}, // Zero duration.
       {fault::FaultKind::kLinkCut, "node1->node2", 0.0},  // Zero duration.
   };
@@ -635,6 +723,22 @@ TEST(ClusterPartitionGate, TwentySeededSchedulesZeroViolations) {
   EXPECT_GT(total_rejected, 0);
   EXPECT_GT(total_transitions, 40);
   EXPECT_GT(total_hints, 0);
+}
+
+TEST(ClusterPartitionGate, SchedulesArePinned) {
+  // The gate above compares two runs of one binary, so a change that
+  // shifts every run alike passes it. This pins the bytes themselves:
+  // one MD5 over each seed's history, decision log and state, in order.
+  Md5 md5;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::string dir = TempDir("pin_" + std::to_string(seed));
+    ScheduleArtifacts artifacts = RunSchedule(seed, dir);
+    md5.Update(artifacts.history);
+    md5.Update(artifacts.decision_log);
+    md5.Update(artifacts.state);
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(md5.HexDigest(), "0f816bf9b6a9c9a0a4d95737a5020ac7");
 }
 
 // ---------------------------------------------------------------------

@@ -1,13 +1,7 @@
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
-#include "fault/adapters.h"
-#include "fault/fault_plan.h"
-#include "fault/injector.h"
 #include "net/network_link.h"
 #include "net/shipment.h"
-#include "net/topology.h"
 #include "net/transfer.h"
 #include "util/crc32.h"
 #include "util/units.h"
@@ -230,128 +224,6 @@ TEST(TransferSchedulerTest, SecondSendAllRejected) {
   ASSERT_TRUE(scheduler.SendAll({Item("a", 1)}, nullptr).ok());
   EXPECT_TRUE(
       scheduler.SendAll({Item("b", 1)}, nullptr).IsFailedPrecondition());
-}
-
-TEST(TopologyPartitionTest, LinkCutPlanIsStrictlyOneWay) {
-  sim::Simulation simulation;
-  TopologyConfig topo_config;
-  topo_config.link.propagation_delay_sec = 0.0;
-  topo_config.link.bandwidth_bits_per_sec = 800.0e6;
-  topo_config.seed = 7;
-  Topology topology(&simulation, topo_config);
-  for (const std::string& node : {"a", "b", "c"}) {
-    ASSERT_TRUE(topology.AddNode(node).ok());
-  }
-  ASSERT_TRUE(topology.FullMesh().ok());
-
-  // A seeded plan whose only process cuts "a->b": the reverse direction
-  // must never appear in the armed targets.
-  fault::FaultPlanConfig plan_config;
-  plan_config.horizon_sec = 100.0;
-  fault::FaultProcess process;
-  process.kind = fault::FaultKind::kLinkCut;
-  process.target = "a->b";
-  process.rate_per_sec = 0.05;
-  process.mean_duration_sec = 30.0;
-  plan_config.processes.push_back(process);
-  auto plan = fault::FaultPlan::Generate(21, plan_config);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_FALSE(plan->empty());
-
-  fault::Injector injector(&simulation, *plan);
-  ASSERT_TRUE(fault::ArmTopologyPartitions(injector, &topology, *plan).ok());
-  ASSERT_TRUE(injector.Arm().ok());
-
-  // Probe mid-way through the first cut window: a->b is down, every
-  // other directed link (including the reverse b->a) still flows.
-  const fault::FaultEvent& first = plan->events().front();
-  double probe = first.time_sec + first.duration_sec / 2.0;
-  bool delivered_b_to_a = false;
-  simulation.ScheduleAt(probe, [&] {
-    EXPECT_FALSE(topology.Reachable("a", "b"));
-    EXPECT_TRUE(topology.Reachable("b", "a"));
-    EXPECT_TRUE(topology.Reachable("a", "c"));
-    EXPECT_TRUE(topology.Reachable("c", "b"));
-    std::string matrix = topology.ReachabilityMatrix();
-    EXPECT_NE(matrix.find("a->b down"), std::string::npos) << matrix;
-    EXPECT_NE(matrix.find("b->a up"), std::string::npos) << matrix;
-    // The reverse link is not just nominally up: a transfer crosses it.
-    NetworkLink* reverse = *topology.LinkBetween("b", "a");
-    ASSERT_TRUE(reverse
-                    ->Send(Item("ack", kMB),
-                           [&](const TransferItem&, DeliveryOutcome outcome) {
-                             EXPECT_EQ(outcome, DeliveryOutcome::kDelivered);
-                             delivered_b_to_a = true;
-                           })
-                    .ok());
-  });
-  simulation.Run();
-  EXPECT_TRUE(delivered_b_to_a);
-
-  // Past the last outage window the cut direction heals by the clock.
-  double heal = 0.0;
-  for (const fault::FaultEvent& event : plan->events()) {
-    heal = std::max(heal, event.time_sec + event.duration_sec);
-  }
-  simulation.ScheduleAt(heal + 1.0, [] {});
-  simulation.RunUntil(heal + 1.0);
-  EXPECT_TRUE(topology.Reachable("a", "b"));
-  EXPECT_TRUE(topology.Reachable("b", "a"));
-}
-
-TEST(TopologyPartitionTest, BadPartitionTargetsArmNothing) {
-  // Each plan holds a valid partition beside one bad event. The adapter
-  // checks every event before it registers anything, so the bad one
-  // leaves the valid one unarmed too.
-  struct Case {
-    fault::FaultKind kind;
-    std::string target;
-    double mean_duration_sec;
-  };
-  const std::vector<Case> cases = {
-      {fault::FaultKind::kLinkCut, "a/b", 5.0},      // No "->".
-      {fault::FaultKind::kLinkCut, "a->a", 5.0},     // Self link.
-      {fault::FaultKind::kLinkCut, "a->z", 5.0},     // Unknown node.
-      {fault::FaultKind::kPartition, "a|z", 5.0},    // Unknown node.
-      {fault::FaultKind::kPartition, "a|", 5.0},     // Spec does not parse.
-      {fault::FaultKind::kPartition, "a|b,c", 0.0},  // Zero duration.
-      {fault::FaultKind::kLinkCut, "a->b", 0.0},     // Zero duration.
-  };
-  for (const Case& bad : cases) {
-    sim::Simulation simulation;
-    Topology topology(&simulation);
-    for (const char* node : {"a", "b", "c"}) {
-      ASSERT_TRUE(topology.AddNode(node).ok());
-    }
-    ASSERT_TRUE(topology.FullMesh().ok());
-
-    fault::FaultPlanConfig plan_config;
-    plan_config.horizon_sec = 100.0;
-    fault::FaultProcess valid;
-    valid.kind = fault::FaultKind::kPartition;
-    valid.target = "a|b,c";
-    valid.rate_per_sec = 0.1;
-    valid.mean_duration_sec = 5.0;
-    fault::FaultProcess invalid;
-    invalid.kind = bad.kind;
-    invalid.target = bad.target;
-    invalid.rate_per_sec = 0.1;
-    invalid.mean_duration_sec = bad.mean_duration_sec;
-    plan_config.processes = {valid, invalid};
-    auto plan = fault::FaultPlan::Generate(4, plan_config);
-    ASSERT_TRUE(plan.ok());
-
-    fault::Injector injector(&simulation, *plan);
-    Status armed = fault::ArmTopologyPartitions(injector, &topology, *plan);
-    EXPECT_TRUE(armed.IsInvalidArgument())
-        << bad.target << ": " << armed.ToString();
-    ASSERT_TRUE(injector.Arm().ok());
-    simulation.Run();
-    EXPECT_EQ(injector.injected(), 0) << bad.target;
-    EXPECT_EQ(injector.unmatched(), static_cast<int64_t>(plan->size()));
-    EXPECT_EQ(topology.ReachabilityMatrix().find("down"), std::string::npos)
-        << bad.target;
-  }
 }
 
 }  // namespace
