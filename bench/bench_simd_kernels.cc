@@ -4,12 +4,9 @@
 // processors the survey does not have to buy. This bench pins the kernel
 // layer's two promises:
 //
-//   * determinism (always enforced): for every exact-contract kernel the
-//     scalar table and every vector tier the host supports produce
-//     BYTE-IDENTICAL output (memcmp). gather_sum_f64 is the documented
-//     fast-fp exception (multi-accumulator reassociation) and is excluded
-//     from the byte gate — it sits behind an allow_fast_fp opt-in that
-//     defaults off.
+//   * determinism (always enforced): for every kernel the scalar table
+//     and, on a host that runs it, the AVX2 table produce BYTE-IDENTICAL
+//     output (memcmp).
 //   * speed (enforced on AVX2 hosts, advisory elsewhere or with
 //     DFLOW_BENCH_SIMD_ADVISORY set): >= 2.0x scalar->vector speedup on at
 //     least one kernel.
@@ -17,7 +14,9 @@
 // The "determinism" output lines hash the ACTIVE table's output (the table
 // DFLOW_SIMD selects), so CI runs this binary twice — DFLOW_SIMD=scalar
 // and DFLOW_SIMD=auto — and diffs those lines: any divergence means the
-// dispatch layer broke bit-identity in production configuration.
+// dispatch layer broke bit-identity in production configuration. An
+// unknown DFLOW_SIMD token falls back to the best tier, so the "active
+// ISA" line then names the same tier as the "best supported ISA" line.
 //
 // Also emitted: the stored-bytes vs recall-latency tradeoff curve for the
 // chunked tape compression (wlzc) at several block sizes, using the
@@ -88,8 +87,7 @@ struct KernelResult {
   int64_t n = 0;
   double scalar_sec = 0.0;
   double vector_sec = 0.0;
-  bool exact = true;           // Participates in the byte gate.
-  bool byte_identical = true;  // memcmp scalar vs every supported tier.
+  bool byte_identical = true;  // memcmp scalar vs AVX2 (when supported).
   std::string active_md5;      // Hash of the ACTIVE table's output.
 
   double speedup() const {
@@ -100,23 +98,20 @@ struct KernelResult {
 constexpr int64_t kN = 1 << 16;
 constexpr int kReps = 200;
 
-/// Runs `fill` once per supported tier into a fresh output buffer and
-/// memcmps against the scalar tier; also hashes the ACTIVE tier's output.
-/// `fill(table, out)` must write the kernel's full output into `out`.
+/// Runs `fill` on the scalar table and, when the host supports it, the
+/// AVX2 table, each into a fresh output buffer, and memcmps the two; also
+/// hashes the ACTIVE tier's output. `fill(table, out)` must write the
+/// kernel's full output into `out`.
 template <typename FillFn>
 void CheckIdentity(KernelResult* result, size_t out_bytes, FillFn fill) {
   std::vector<unsigned char> scalar_out(out_bytes);
   fill(*dflow::simd::KernelsFor(Isa::kScalar), scalar_out.data());
-  for (Isa isa : {Isa::kSse2, Isa::kAvx2}) {
-    const KernelTable* table = dflow::simd::KernelsFor(isa);
-    if (table == nullptr) {
-      continue;
-    }
+  if (const KernelTable* avx2 = dflow::simd::KernelsFor(Isa::kAvx2)) {
     std::vector<unsigned char> vec_out(out_bytes);
-    fill(*table, vec_out.data());
+    fill(*avx2, vec_out.data());
     if (std::memcmp(scalar_out.data(), vec_out.data(), out_bytes) != 0) {
       result->byte_identical = false;
-      dflow::bench::Note(result->name + ": " + IsaName(isa) +
+      dflow::bench::Note(result->name + ": " + IsaName(Isa::kAvx2) +
                          " output DIVERGES from scalar");
     }
   }
@@ -349,39 +344,6 @@ KernelResult BenchRankContrib(const KernelTable& scalar,
   return r;
 }
 
-KernelResult BenchGatherSum(const KernelTable& scalar,
-                            const KernelTable& vec) {
-  KernelResult r;
-  r.name = "gather_sum_f64";
-  r.n = kN;
-  r.exact = false;  // The documented fast-fp exception: no byte gate.
-  Rng rng(17);
-  std::vector<double> values(kN);
-  for (auto& x : values) {
-    x = rng.Normal();
-  }
-  std::vector<int> indices(kN);
-  for (auto& i : indices) {
-    i = static_cast<int>(rng.Uniform(0, static_cast<int>(kN) - 1));
-  }
-  double sink = 0.0;
-  auto run = [&](const KernelTable& t) {
-    for (int i = 0; i < kReps; ++i) {
-      sink += t.gather_sum_f64(values.data(), indices.data(), kN);
-      Escape(&sink);
-    }
-  };
-  r.scalar_sec = TimeSec([&] { run(scalar); });
-  r.vector_sec = TimeSec([&] { run(vec); });
-  // No byte-identity check; hash the ACTIVE result anyway for the record
-  // (it legitimately differs between scalar and vector tiers).
-  double active = dflow::simd::Kernels().gather_sum_f64(
-      values.data(), indices.data(), kN);
-  r.active_md5 = Md5::HexOf(Bytes(&active, sizeof(active)));
-  r.byte_identical = true;
-  return r;
-}
-
 /// One point of the stored-bytes vs recall-latency curve.
 struct TradeoffPoint {
   int64_t block_bytes = 0;  // 0 = uncompressed.
@@ -424,7 +386,6 @@ int main() {
   results.push_back(BenchStridedAdd(scalar, vec));
   results.push_back(BenchSnrBestUpdate(scalar, vec));
   results.push_back(BenchRankContrib(scalar, vec));
-  results.push_back(BenchGatherSum(scalar, vec));
 
   bool all_identical = true;
   double best_speedup = 0.0;
@@ -433,10 +394,8 @@ int main() {
     dflow::bench::Row(
         r.name + " (n=" + std::to_string(r.n) + ")",
         Fmt("%.2f", r.speedup()) + "x " + IsaName(best) + " vs scalar" +
-            (r.exact ? (r.byte_identical ? ", byte-identical"
-                                         : ", DIVERGED")
-                     : ", fast-fp (no byte gate)"));
-    if (r.exact && !r.byte_identical) {
+            (r.byte_identical ? ", byte-identical" : ", DIVERGED"));
+    if (!r.byte_identical) {
       all_identical = false;
     }
     if (r.speedup() > best_speedup) {
@@ -446,12 +405,10 @@ int main() {
   }
 
   // The determinism lines CI diffs between DFLOW_SIMD=scalar and =auto:
-  // hashes of the ACTIVE table's output for every exact kernel.
+  // hashes of the ACTIVE table's output for every kernel.
   for (const KernelResult& r : results) {
-    if (r.exact) {
-      std::printf("  determinism %-18s md5=%s\n", r.name.c_str(),
-                  r.active_md5.c_str());
-    }
+    std::printf("  determinism %-18s md5=%s\n", r.name.c_str(),
+                r.active_md5.c_str());
   }
 
   // --- Compression tradeoff curve. --------------------------------------
@@ -535,8 +492,7 @@ int main() {
       const KernelResult& r = results[i];
       json << (i == 0 ? "" : ", ") << "{\"name\": \"" << r.name
            << "\", \"n\": " << r.n << ", \"speedup\": "
-           << Fmt("%.3f", r.speedup()) << ", \"exact\": "
-           << (r.exact ? "true" : "false") << ", \"byte_identical\": "
+           << Fmt("%.3f", r.speedup()) << ", \"byte_identical\": "
            << (r.byte_identical ? "true" : "false") << "}";
     }
     json << "],\n";

@@ -24,7 +24,6 @@ struct SurveyConfig {
   int pointings_per_block = 400;           // "400 telescope pointings
                                            //  obtained in one week".
   int64_t raw_bytes_per_pointing = 35 * kGB;  // 400 x 35 GB = 14 TB.
-  double session_hours = 3.0;              // Observing session length.
   double block_telescope_hours = 35.0;     // Hours per 400-pointing block.
   double survey_years = 5.0;
   int64_t survey_raw_bytes = kPB;          // "about a Petabyte of raw data".

@@ -307,7 +307,6 @@ Result<core::ServiceResponse> Cluster::Execute(
     } else {
       local_->Add(1);
     }
-    node->served.fetch_add(1, std::memory_order_relaxed);
     if (config_.tracer != nullptr && config_.tracer->enabled()) {
       config_.tracer->InstantEvent(
           "dispatch", "cluster",
@@ -1057,7 +1056,7 @@ ClusterStats Cluster::Stats() const {
 std::map<std::string, int64_t> Cluster::ServedByNode() const {
   std::map<std::string, int64_t> served;
   for (const auto& node : nodes_) {
-    served[node->name] = node->served.load(std::memory_order_relaxed);
+    served[node->name] = node->loop->Stats().offered;
   }
   return served;
 }

@@ -293,8 +293,8 @@ class Cluster {
   }
   ClusterStats Stats() const;
 
-  /// Requests dispatched into each node's serve loop (by node name) —
-  /// the load-balance view the benches print.
+  /// Requests dispatched into each node's serve loop (by node name): each
+  /// loop's "serve.offered" count, the load-balance view the benches print.
   std::map<std::string, int64_t> ServedByNode() const;
 
   /// One node's ServeLoop stats (admission, cache, breaker bookkeeping).
@@ -357,7 +357,6 @@ class Cluster {
     core::ServiceRegistry registry;
     std::unique_ptr<serve::ShardedResponseCache> cache;
     std::atomic<bool> alive{true};
-    std::atomic<int64_t> served{0};
     std::map<int, ShardData> shards;  // Guarded by Cluster::mu_.
     /// Hints this node banks for currently-unreachable peers, in arrival
     /// order. Volatile like shard state: a kill drops them. Guarded by

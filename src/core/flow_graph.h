@@ -32,7 +32,6 @@ class FlowGraph {
   Result<Stage*> Find(const std::string& name) const;
   const std::vector<std::string>& Successors(const std::string& name) const;
 
-  size_t NumStages() const { return stages_.size(); }
   std::vector<std::string> StageNames() const;
 
   /// Stage names in a valid execution order; fails with

@@ -13,7 +13,6 @@
 #include "core/flow_runner.h"
 #include "fault/injector.h"
 #include "net/network_link.h"
-#include "net/shipment.h"
 #include "storage/tape.h"
 #include "util/logging.h"
 
@@ -29,20 +28,6 @@ inline void ArmNetworkLink(Injector& injector, net::NetworkLink* link) {
   DFLOW_CHECK_OK(injector.Register(
       FaultKind::kTransferCorruption, link->name(),
       [link](const FaultEvent& e) { link->InjectCorruptNext(e.count); }));
-}
-
-/// Routes kShipmentLoss and kShipmentDelay events into the channel.
-inline void ArmShipmentChannel(Injector& injector,
-                               net::ShipmentChannel* channel) {
-  DFLOW_CHECK(channel != nullptr);
-  DFLOW_CHECK_OK(injector.Register(
-      FaultKind::kShipmentLoss, channel->name(),
-      [channel](const FaultEvent&) { channel->InjectLoseNextShipment(); }));
-  DFLOW_CHECK_OK(injector.Register(
-      FaultKind::kShipmentDelay, channel->name(),
-      [channel](const FaultEvent& e) {
-        channel->InjectDelayNextShipment(e.duration_sec);
-      }));
 }
 
 /// Routes kDriveFailure and kBadBlock events into the library. Bad-block

@@ -135,14 +135,6 @@ void SetTracer(obs::Tracer* tracer) {
   g_tracer.store(tracer, std::memory_order_relaxed);
 }
 
-obs::MetricsRegistry* GetMetricsRegistry() {
-  return g_metrics.load(std::memory_order_relaxed);
-}
-
-obs::Tracer* GetTracer() {
-  return g_tracer.load(std::memory_order_relaxed);
-}
-
 std::vector<std::pair<int64_t, int64_t>> ChunkRanges(
     int64_t begin, int64_t end, const Options& options) {
   std::vector<std::pair<int64_t, int64_t>> chunks;

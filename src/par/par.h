@@ -98,8 +98,6 @@ class ScopedPool {
 /// count.
 void SetMetricsRegistry(obs::MetricsRegistry* registry);
 void SetTracer(obs::Tracer* tracer);
-obs::MetricsRegistry* GetMetricsRegistry();
-obs::Tracer* GetTracer();
 
 struct Options {
   /// Explicit executor; nullptr means "ambient": the innermost ScopedPool

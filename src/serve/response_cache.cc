@@ -103,14 +103,16 @@ void ShardedResponseCache::InsertShared(std::string_view key,
   size_t bytes = EntryBytes(key, *response);
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(key))];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (bytes > shard_capacity_bytes_) {
-    return;  // Would evict the whole shard and then itself; not worth it.
-  }
+  // The key's old entry goes first, even when the new response is refused:
+  // the backend has replaced it, so it must not be served again.
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     shard.bytes -= it->second->bytes;
     shard.lru.erase(it->second);
     shard.index.erase(it);
+  }
+  if (bytes > shard_capacity_bytes_) {
+    return;  // Would evict the whole shard and then itself; not worth it.
   }
   double effective_ttl = config_.default_ttl_sec;
   if (ttl_sec > 0.0) {

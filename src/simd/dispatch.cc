@@ -18,19 +18,16 @@ namespace {
 
 struct Tables {
   KernelTable scalar;
-  KernelTable sse2;
   KernelTable avx2;
 };
 
-// Built once, immutable afterwards. Vector tiers start from the scalar
-// table so unaccelerated entries inherit the exact reference kernels.
+// Built once, immutable afterwards. The AVX2 table starts from the scalar
+// one, so an entry it does not install stays the exact reference kernel.
 const Tables& AllTables() {
   static const Tables tables = [] {
     Tables t;
     detail::FillScalar(&t.scalar);
-    t.sse2 = t.scalar;
-    detail::FillSse2(&t.sse2);
-    t.avx2 = t.sse2;
+    t.avx2 = t.scalar;
     detail::FillAvx2(&t.avx2);
     return t;
   }();
@@ -39,21 +36,12 @@ const Tables& AllTables() {
 
 const KernelTable* TableFor(Isa isa) {
   const Tables& t = AllTables();
-  switch (isa) {
-    case Isa::kScalar:
-      return &t.scalar;
-    case Isa::kSse2:
-      return &t.sse2;
-    case Isa::kAvx2:
-      return &t.avx2;
-  }
-  return &t.scalar;
+  return isa == Isa::kAvx2 ? &t.avx2 : &t.scalar;
 }
 
 Isa ProbeBestIsa() {
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Isa::kSse2;
 #endif
   return Isa::kScalar;
 }
@@ -70,14 +58,11 @@ Isa ResolveIsa() {
   Isa requested = best;
   if (std::strcmp(env, "scalar") == 0) {
     requested = Isa::kScalar;
-  } else if (std::strcmp(env, "sse2") == 0) {
-    requested = Isa::kSse2;
   } else if (std::strcmp(env, "avx2") == 0) {
     requested = Isa::kAvx2;
   } else {
     DFLOW_LOG(Warning) << "DFLOW_SIMD=" << env
-                       << " not recognized (want scalar|sse2|avx2|auto); "
-                          "using "
+                       << " not recognized (want scalar|avx2|auto); using "
                        << IsaName(best);
     return best;
   }
@@ -105,15 +90,7 @@ void EnsureDispatched() {
 }  // namespace
 
 const char* IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kSse2:
-      return "sse2";
-    case Isa::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
+  return isa == Isa::kAvx2 ? "avx2" : "scalar";
 }
 
 Isa BestSupportedIsa() {

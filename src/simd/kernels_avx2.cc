@@ -231,31 +231,6 @@ void RankContrib(const double* rank, const int64_t* offsets, double* contrib,
   }
 }
 
-double GatherSumF64(const double* values, const int* indices, int64_t n) {
-  // FAST-FP: one vector accumulator -> the sum is reassociated relative to
-  // the sequential scalar order. Deterministic for a fixed ISA (fixed
-  // lane split + fixed fold order below), but callers must opt in.
-  __m256d acc = _mm256_setzero_pd();
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(indices + i));
-    // Masked form with an explicit (ignored) source: GCC 12's plain
-    // _mm256_i32gather_pd seeds from _mm256_undefined_pd and trips
-    // -Wmaybe-uninitialized.
-    acc = _mm256_add_pd(
-        acc, _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values, idx, all, 8));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  for (; i < n; ++i) {
-    sum += values[indices[i]];
-  }
-  return sum;
-}
-
 }  // namespace
 
 void FillAvx2(KernelTable* table) {
@@ -267,7 +242,6 @@ void FillAvx2(KernelTable* table) {
   table->strided_add_f64 = &StridedAddF64;
   table->snr_best_update = &SnrBestUpdate;
   table->rank_contrib = &RankContrib;
-  table->gather_sum_f64 = &GatherSumF64;
 }
 
 }  // namespace dflow::simd::detail

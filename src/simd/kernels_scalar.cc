@@ -97,16 +97,6 @@ void RankContrib(const double* rank, const int64_t* offsets, double* contrib,
   }
 }
 
-double GatherSumF64(const double* values, const int* indices, int64_t n) {
-  // Strictly sequential left-to-right: this is the reference order the
-  // default (non-fast-fp) callers already use inline.
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    sum += values[indices[i]];
-  }
-  return sum;
-}
-
 }  // namespace
 
 void FillScalar(KernelTable* table) {
@@ -118,7 +108,6 @@ void FillScalar(KernelTable* table) {
   table->strided_add_f64 = &StridedAddF64;
   table->snr_best_update = &SnrBestUpdate;
   table->rank_contrib = &RankContrib;
-  table->gather_sum_f64 = &GatherSumF64;
 }
 
 }  // namespace dflow::simd::detail

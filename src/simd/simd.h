@@ -8,16 +8,16 @@
 
 namespace dflow::simd {
 
-/// Instruction-set tiers the kernel layer can dispatch to. Ordered: a
-/// higher tier implies every lower one is also usable on the host.
+/// Instruction-set tiers the kernel layer can dispatch to: the scalar
+/// reference and AVX2. The values are what the "simd.dispatch" gauge
+/// publishes, so they stay fixed.
 enum class Isa {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
-/// Stable lowercase name ("scalar" / "sse2" / "avx2") — the same tokens
-/// the DFLOW_SIMD environment override accepts.
+/// Stable lowercase name ("scalar" / "avx2") — the same tokens the
+/// DFLOW_SIMD environment override accepts.
 const char* IsaName(Isa isa);
 
 /// The hot inner loops of the three case studies, as a flat function
@@ -26,14 +26,11 @@ const char* IsaName(Isa isa);
 /// plain indirect call — no per-call feature checks.
 ///
 /// Determinism contract (the same one dflow::par enforces for thread
-/// counts): every kernel except gather_sum_f64 performs, per output
-/// element, the exact IEEE-754 operation sequence of its scalar reference
-/// — widening loads, one add/mul/div per element, no FMA contraction, no
-/// reassociation — so scalar and vector tables produce byte-identical
-/// output. The kernel translation units are compiled with
-/// -ffp-contract=off to pin that down. gather_sum_f64 is the one
-/// documented exception (see below) and is only reachable behind an
-/// explicit allow_fast_fp opt-in that defaults off.
+/// counts): every kernel performs, per output element, the exact IEEE-754
+/// operation sequence of its scalar reference — widening loads, one
+/// add/mul/div per element, no FMA contraction, no reassociation — so the
+/// scalar and AVX2 tables produce byte-identical output. The kernel
+/// translation units are compiled with -ffp-contract=off to pin that down.
 struct KernelTable {
   /// acc[i] += (double)src[i]. The dedispersion shift-sum: float->double
   /// widening is exact, one add per element in index order.
@@ -83,15 +80,6 @@ struct KernelTable {
   /// int->double conversion and one divide per element — exact.
   void (*rank_contrib)(const double* rank, const int64_t* offsets,
                        double* contrib, int64_t n);
-
-  /// sum over i of values[indices[i]]. THE FAST-FP EXCEPTION: vector tiers
-  /// use multiple accumulators, which reassociates the sum — deterministic
-  /// for a fixed ISA choice, but NOT bit-identical to the sequential
-  /// order. The scalar table entry is the plain left-to-right sum.
-  /// Callers must keep this behind an allow_fast_fp opt-in defaulting off
-  /// (WebGraph::PageRank does).
-  double (*gather_sum_f64)(const double* values, const int* indices,
-                           int64_t n);
 };
 
 /// Best tier the host CPU supports (cpuid probe; kScalar off x86).
@@ -101,9 +89,9 @@ Isa BestSupportedIsa();
 bool IsaSupported(Isa isa);
 
 /// The tier the process dispatched to: BestSupportedIsa() clamped by the
-/// DFLOW_SIMD environment override (scalar | sse2 | avx2 | auto; unknown
-/// values and unsupported requests fall back with a warning). Resolved
-/// once on first call and latched.
+/// DFLOW_SIMD environment override (scalar | avx2 | auto; unknown values
+/// and unsupported requests fall back with a warning). Resolved once on
+/// first call and latched.
 Isa ActiveIsa();
 
 /// The kernel table for ActiveIsa(). Callers resolve a reference once per
@@ -111,8 +99,8 @@ Isa ActiveIsa();
 const KernelTable& Kernels();
 
 /// Table for an explicit tier — the differential tests compare
-/// KernelsFor(kScalar) against every supported vector tier within one
-/// binary. Returns nullptr if the host cannot execute `isa`.
+/// KernelsFor(kScalar) against KernelsFor(kAvx2) within one binary.
+/// Returns nullptr if the host cannot execute `isa`.
 const KernelTable* KernelsFor(Isa isa);
 
 /// Test/bench hook: re-point Kernels()/ActiveIsa() at `isa` (which must be
@@ -121,8 +109,8 @@ const KernelTable* KernelsFor(Isa isa);
 bool ForceIsaForTest(Isa isa);
 
 /// Publishes the chosen tier into `registry` as the "simd.dispatch" gauge
-/// (0 = scalar, 1 = sse2, 2 = avx2), so benches and scenario fingerprints
-/// can assert which path produced their numbers. No-op on null.
+/// (0 = scalar, 2 = avx2), so benches and scenario fingerprints can
+/// assert which path produced their numbers. No-op on null.
 void PublishDispatch(obs::MetricsRegistry* registry);
 
 }  // namespace dflow::simd

@@ -125,8 +125,7 @@ int WebGraph::OutDegree(int node) const {
   return static_cast<int>(offsets_[i + 1] - offsets_[i]);
 }
 
-std::vector<double> WebGraph::PageRank(int iterations, double damping,
-                                       bool allow_fast_fp) const {
+std::vector<double> WebGraph::PageRank(int iterations, double damping) const {
   const size_t n = urls_.size();
   if (n == 0) {
     return {};
@@ -171,28 +170,17 @@ std::vector<double> WebGraph::PageRank(int iterations, double damping,
     // Pull phase: each node gathers from its in-links in transpose-CSR
     // order into its own slot. Same math as the old scatter loop, but
     // parallel AND deterministic (the scatter form would need atomics and
-    // would sum in scheduling order). With allow_fast_fp the gather runs
-    // through the vector gather-sum kernel — multiple accumulators, so
-    // the per-node sum is reassociated (deterministic per ISA tier, not
-    // bit-identical to the sequential order below).
+    // would sum in scheduling order).
     par::ParallelFor(
         0, static_cast<int64_t>(n),
         [&](int64_t chunk_begin, int64_t chunk_end) {
           for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-            double gathered;
-            const size_t node = static_cast<size_t>(i);
-            if (allow_fast_fp) {
-              gathered = kernels.gather_sum_f64(
-                  contrib.data(), sources_.data() + in_offsets_[node],
-                  in_offsets_[node + 1] - in_offsets_[node]);
-            } else {
-              gathered = 0.0;
-              auto [begin, end] = InLinks(static_cast<int>(i));
-              for (const int* s = begin; s != end; ++s) {
-                gathered += contrib[static_cast<size_t>(*s)];
-              }
+            double gathered = 0.0;
+            auto [begin, end] = InLinks(static_cast<int>(i));
+            for (const int* s = begin; s != end; ++s) {
+              gathered += contrib[static_cast<size_t>(*s)];
             }
-            next[node] = teleport + damping * gathered;
+            next[static_cast<size_t>(i)] = teleport + damping * gathered;
           }
         },
         options);

@@ -57,13 +57,9 @@ class WebGraph {
   /// the dangling-mass sum uses ParallelReduce's fixed combine tree — so
   /// scores are bit-identical at 1, 2, 4, or 8 threads. The contribution
   /// pass runs through the dflow::simd kernel layer (exact — one divide
-  /// per node, byte-identical across ISA tiers). `allow_fast_fp` opts the
-  /// in-link gather into the vector gather-sum kernel, which reassociates
-  /// the per-node sum: still deterministic for a fixed DFLOW_SIMD tier,
-  /// but NOT bit-identical to the default sequential order — hence off by
-  /// default per the determinism contract.
-  std::vector<double> PageRank(int iterations = 20, double damping = 0.85,
-                               bool allow_fast_fp = false) const;
+  /// per node, byte-identical across ISA tiers).
+  std::vector<double> PageRank(int iterations = 20,
+                               double damping = 0.85) const;
 
   /// Weakly connected component id per node, plus the component count.
   std::pair<std::vector<int>, int> WeaklyConnectedComponents() const;

@@ -458,6 +458,40 @@ TEST(ClusterTest, ForwardLossRetriesDeterministically) {
   EXPECT_LT(first.failed, first.requests / 10);
 }
 
+TEST(ClusterTest, ServedByNodeIsEachServeLoopsOfferedCount) {
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.replication_factor = 3;
+  config.seed = 13;
+  config.enable_cache = true;
+  config.forward_loss_probability = 0.2;
+  auto cluster = Cluster::Create(config, PlainBackends());
+  ASSERT_TRUE(cluster.ok());
+  // Keys repeat, so cache hits are in the mix; a kill and a rejoin move
+  // traffic between replicas mid-run.
+  for (int i = 0; i < 400; ++i) {
+    if (i == 150) {
+      ASSERT_TRUE((*cluster)->KillNode("node1").ok());
+    }
+    if (i == 275) {
+      ASSERT_TRUE((*cluster)->RejoinNode("node1").ok());
+    }
+    (void)(*cluster)->Execute(Req("svc/echo/" + std::to_string(i % 90)));
+  }
+  ClusterStats stats = (*cluster)->Stats();
+  int64_t dispatched = 0;
+  for (const auto& [node, served] : (*cluster)->ServedByNode()) {
+    auto loop = (*cluster)->NodeServeStats(node);
+    ASSERT_TRUE(loop.ok()) << node;
+    EXPECT_EQ(served, loop->offered) << node;
+    EXPECT_GT(served, 0) << node;
+    dispatched += served;
+  }
+  // Each dispatch is counted once, as a local or a forwarded hop.
+  EXPECT_EQ(dispatched, stats.local + stats.forwarded);
+  EXPECT_GT(stats.forward_drops, 0);
+}
+
 TEST(ClusterStressTest, RebalanceUnderTrafficDropsNothing) {
   ClusterConfig config;
   config.num_nodes = 4;

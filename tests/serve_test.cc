@@ -270,6 +270,18 @@ TEST(ResponseCacheTest, ReplaceAndEraseAndOversize) {
   cache.InsertShared("big", Body(std::string(3000, 'x')), 0.0);
   EXPECT_EQ(cache.LookupShared("big", 0.0), nullptr);
   EXPECT_EQ(cache.Totals().entries, 0u);
+
+  // A replacement too large to keep still drops the entry it replaces:
+  // the cache must not go on serving the superseded response.
+  ShardedResponseCache one_shard(CacheConfig{1, 1024, 0.0});
+  one_shard.InsertShared("k", Body("old"), 0.0);
+  ASSERT_NE(one_shard.LookupShared("k", 0.0), nullptr);
+  one_shard.InsertShared("k", Body(std::string(4096, 'x')), 0.0);
+  EXPECT_EQ(one_shard.LookupShared("k", 0.0), nullptr);
+  EXPECT_EQ(one_shard.Totals().entries, 0u);
+  EXPECT_EQ(one_shard.Totals().bytes, 0u);
+  EXPECT_EQ(one_shard.Totals().inserts, 1);
+  EXPECT_EQ(one_shard.Totals().evictions, 0);
 }
 
 TEST(ResponseCacheTest, ShardCountersSumToTotals) {

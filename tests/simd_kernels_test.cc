@@ -1,10 +1,7 @@
-// Differential gate for the dflow::simd kernel layer: every vector tier
-// the host supports must produce BYTE-IDENTICAL output to the scalar
+// Differential gate for the dflow::simd kernel layer: on a host that runs
+// it, the AVX2 table must produce BYTE-IDENTICAL output to the scalar
 // reference table, per kernel and end-to-end through the four ported hot
 // loops (dedispersion, FFT, harmonic search, PageRank) at 1-8 threads.
-// gather_sum_f64 is the documented fast-fp exception (reassociated sum)
-// and is pinned the other way: deterministic per tier, behind a
-// default-off allow_fast_fp opt-in.
 
 #include <complex>
 #include <cstring>
@@ -18,6 +15,7 @@
 #include "arecibo/fft.h"
 #include "arecibo/search.h"
 #include "arecibo/spectrometer.h"
+#include "obs/metrics.h"
 #include "par/par.h"
 #include "simd/simd.h"
 #include "util/rng.h"
@@ -32,10 +30,8 @@ using simd::KernelTable;
 
 std::vector<Isa> SupportedVectorTiers() {
   std::vector<Isa> tiers;
-  for (Isa isa : {Isa::kSse2, Isa::kAvx2}) {
-    if (simd::KernelsFor(isa) != nullptr) {
-      tiers.push_back(isa);
-    }
+  if (simd::KernelsFor(Isa::kAvx2) != nullptr) {
+    tiers.push_back(Isa::kAvx2);
   }
   return tiers;
 }
@@ -51,9 +47,8 @@ void ExpectBytesEqual(const std::vector<T>& a, const std::vector<T>& b,
 TEST(SimdDispatch, TableAvailabilityMatchesSupport) {
   EXPECT_NE(simd::KernelsFor(Isa::kScalar), nullptr);
   EXPECT_TRUE(simd::IsaSupported(Isa::kScalar));
-  for (Isa isa : {Isa::kSse2, Isa::kAvx2}) {
-    EXPECT_EQ(simd::IsaSupported(isa), simd::KernelsFor(isa) != nullptr);
-  }
+  EXPECT_EQ(simd::IsaSupported(Isa::kAvx2),
+            simd::KernelsFor(Isa::kAvx2) != nullptr);
   // The active tier is always one the host can actually execute.
   EXPECT_TRUE(simd::IsaSupported(simd::ActiveIsa()));
 }
@@ -251,33 +246,6 @@ TEST(SimdKernels, RankContribByteIdenticalIncludingZeroDegrees) {
   }
 }
 
-TEST(SimdKernels, GatherSumDeterministicPerTier) {
-  // The fast-fp exception: each tier's own result must be reproducible,
-  // and every tier must agree with the sequential sum to tolerance (the
-  // reassociation changes rounding, not math).
-  Rng rng(107);
-  const int64_t n = 4096;
-  std::vector<double> values(static_cast<size_t>(n));
-  for (auto& x : values) {
-    x = rng.Normal();
-  }
-  std::vector<int> indices(static_cast<size_t>(n));
-  for (auto& i : indices) {
-    i = static_cast<int>(rng.Uniform(0, static_cast<int>(n) - 1));
-  }
-  double scalar_sum = simd::KernelsFor(Isa::kScalar)
-                          ->gather_sum_f64(values.data(), indices.data(), n);
-  for (Isa isa : SupportedVectorTiers()) {
-    double a = simd::KernelsFor(isa)->gather_sum_f64(values.data(),
-                                                     indices.data(), n);
-    double b = simd::KernelsFor(isa)->gather_sum_f64(values.data(),
-                                                     indices.data(), n);
-    EXPECT_EQ(a, b) << "gather_sum_f64 not reproducible on "
-                    << simd::IsaName(isa);
-    EXPECT_NEAR(a, scalar_sum, 1e-9 * static_cast<double>(n));
-  }
-}
-
 // --- End-to-end: the four ported consumers, forced scalar vs forced
 // best-vector, at several thread counts. ---------------------------------
 
@@ -286,6 +254,28 @@ class ForcedIsa {
   explicit ForcedIsa(Isa isa) { EXPECT_TRUE(simd::ForceIsaForTest(isa)); }
   ~ForcedIsa() { simd::ForceIsaForTest(simd::BestSupportedIsa()); }
 };
+
+TEST(SimdDispatch, PublishDispatchWritesTheTierNumber) {
+  // The "simd.dispatch" gauge carries the enum's value, so the numbering
+  // is part of the published contract.
+  static_assert(static_cast<int>(Isa::kScalar) == 0);
+  static_assert(static_cast<int>(Isa::kAvx2) == 2);
+  const Isa best = simd::BestSupportedIsa();
+  {
+    ForcedIsa forced(best);
+    obs::MetricsRegistry registry;
+    simd::PublishDispatch(&registry);
+    EXPECT_EQ(registry.GetGauge("simd.dispatch")->Value(),
+              best == Isa::kAvx2 ? 2.0 : 0.0);
+  }
+  {
+    ForcedIsa forced(Isa::kScalar);
+    obs::MetricsRegistry registry;
+    registry.GetGauge("simd.dispatch")->Set(-1.0);
+    simd::PublishDispatch(&registry);
+    EXPECT_EQ(registry.GetGauge("simd.dispatch")->Value(), 0.0);
+  }
+}
 
 TEST(SimdEndToEnd, DedisperseAndSearchByteIdenticalAcrossIsaAndThreads) {
   using namespace dflow::arecibo;
@@ -375,30 +365,6 @@ TEST(SimdEndToEnd, PageRankByteIdenticalAcrossIsaAndThreads) {
     par::ScopedPool scoped(&pool);
     std::vector<double> rank = graph.PageRank(15);
     ExpectBytesEqual(ref, rank, "PageRank", best);
-  }
-}
-
-TEST(SimdEndToEnd, PageRankFastFpIsOptInAndDeterministic) {
-  using dflow::weblab::WebGraph;
-  Rng rng(110);
-  std::vector<std::pair<std::string, std::string>> edges;
-  for (int i = 0; i < 2000; ++i) {
-    edges.emplace_back("u" + std::to_string(rng.Uniform(0, 199)),
-                       "u" + std::to_string(rng.Uniform(0, 199)));
-  }
-  WebGraph graph = WebGraph::Build(edges);
-  std::vector<double> exact = graph.PageRank(10);
-  std::vector<double> fast_a =
-      graph.PageRank(10, 0.85, /*allow_fast_fp=*/true);
-  std::vector<double> fast_b =
-      graph.PageRank(10, 0.85, /*allow_fast_fp=*/true);
-  // Fast-fp is itself deterministic for a fixed dispatch...
-  ExpectBytesEqual(fast_a, fast_b, "PageRank fast-fp repeat",
-                   simd::ActiveIsa());
-  // ...and numerically equivalent to the exact path.
-  ASSERT_EQ(exact.size(), fast_a.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(exact[i], fast_a[i], 1e-12);
   }
 }
 
